@@ -122,13 +122,8 @@ def _grid(limit: int) -> list[tuple[int, int]]:
 def _lmax_histogram(m: int, n: int) -> list[int]:
     """hist[k] = number of words of S_{m,n} whose maximal run has length k."""
     hist = [0] * (n + 1)
-    for letters in words._iter_letter_tuples(m, n):
-        best = [0] * (n + 1)
-        for x in letters:
-            cand = best[x - 1] + 1
-            if cand > best[x]:
-                best[x] = cand
-        hist[max(best)] += 1
+    for word in words.enumerate_words(m, n):
+        hist[words.l_max(word)] += 1
     return hist
 
 
@@ -323,7 +318,7 @@ def _c10(level):
         gen = substream(_SEED + 102, i)
         letters = montecarlo._sample_letters(gen, m, n)
         occ = montecarlo._occ_matrix(letters, m, n)
-        if cardgame._shifting_score(occ, m, n) < montecarlo._l1_from_occ(occ, m, n):
+        if cardgame._shifting_score(occ) < montecarlo._l1_from_occ(occ):
             undercuts += 1
     clauses.append((undercuts == 0, f"shifting >= l1 on {t_small - undercuts}/{t_small} trials"))
 

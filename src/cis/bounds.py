@@ -145,8 +145,8 @@ def inverse_gamma(y: float) -> float:
     relative error well under 1e-10.
     """
     y = float(y)
-    if math.isnan(y) or y < 1.0:
-        raise DomainError(f"need y >= 1, got y={y}")
+    if not math.isfinite(y) or y < 1.0:
+        raise DomainError(f"need finite y >= 1, got y={y}")
     if y == 1.0:
         return 2.0
     target = math.log(y)

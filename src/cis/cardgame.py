@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import Estimate, _collect, _occ_matrix, _sample_letters
+from .montecarlo import Estimate, _collect, _occ_matrix, _sample_letters, _walk
 from .words import Word
 
 STRATEGIES = ("trivial", "safe", "shifting")
@@ -97,19 +97,12 @@ def _safe_score(occ: np.ndarray, m: int, n: int) -> int:
     return score
 
 
-def _shifting_score(occ: np.ndarray, m: int, n: int) -> int:
-    score = 0
-    pos = -1
-    for v in range(n):
-        row = occ[v]
-        j = int(np.searchsorted(row, pos, side="right"))
-        if j == m:
-            break
-        score += 1
-        pos = int(row[j])
-        if v == n - 1:
-            score += m - 1 - j  # remaining copies of n, all caught
-    return score
+def _shifting_score(occ: np.ndarray) -> int:
+    # the greedy chain; a player who reaches type n camps there and also
+    # catches every copy of n after the one that completed the chain
+    n, m = occ.shape
+    steps, j = _walk(occ, range(n))
+    return steps + (m - 1 - j if steps == n else 0)
 
 
 def safe_expected_exact(m: int, n: int) -> Fraction:
@@ -144,22 +137,11 @@ def expected_score(m: int, n: int, strategy: str, trials: int, seed: int) -> Est
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
-    if strategy == "trivial":
-
-        def kernel(gen):
-            letters = _sample_letters(gen, m, n)
+    def kernel(gen):
+        letters = _sample_letters(gen, m, n)
+        if strategy == "trivial":
             return int(np.count_nonzero(letters == 1))
-
-    elif strategy == "safe":
-
-        def kernel(gen):
-            letters = _sample_letters(gen, m, n)
-            return _safe_score(_occ_matrix(letters, m, n), m, n)
-
-    else:
-
-        def kernel(gen):
-            letters = _sample_letters(gen, m, n)
-            return _shifting_score(_occ_matrix(letters, m, n), m, n)
+        occ = _occ_matrix(letters, m, n)
+        return _safe_score(occ, m, n) if strategy == "safe" else _shifting_score(occ)
 
     return Estimate.from_values(_collect(trials, seed, kernel), seed)

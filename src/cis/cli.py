@@ -601,7 +601,11 @@ def main(argv=None) -> int:
         return 2
     text = _render(rec, args.format)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         print(text)
     if rec["quantity"] == "verify-all" and rec["meta"]["failed"]:

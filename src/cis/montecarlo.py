@@ -2,26 +2,24 @@
 
 Every estimator draws trial j from the Philox substream keyed by
 (seed, j), fills a preallocated value array in trial order, and reduces
-it with fixed-shape numpy operations.  Workers only decide which slice
-of trials they fill, so the final statistics are bitwise identical for
-any worker count; CIS_THREADS caps the thread pool (default: up to 8).
+it with fixed-shape numpy operations, so a seed fixes every statistic
+bitwise.
 
 The kernels avoid per-letter Python loops.  A word is summarized by its
 occurrence matrix occ (row v-1 lists the positions of value v in
-increasing order, via one stable argsort); the greedy chain for l1, the
-all-starts chain for l_max and the card-game scorers all reduce to
-searchsorted walks over its rows.
+increasing order, via one stable argsort).  The greedy chain behind l1,
+pattern containment and the shifting card-game player is one
+searchsorted walk over its rows (_walk); the all-starts chain for l_max
+advances every start in lockstep.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,35 +27,14 @@ from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
 from .rng import substream
 
-_CHUNK = 256  # trials per task; fixed so scheduling never affects results
-
-
-def _worker_count() -> int:
-    env = os.environ.get("CIS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
 
 def _collect(trials: int, seed: int, kernel: Callable, width: int = 1) -> np.ndarray:
     """Fill a (trials, width) array, kernel(gen) giving one trial's row."""
     if trials < 2:
         raise DomainError(f"need trials >= 2, got {trials}")
     values = np.empty((trials, width), dtype=np.float64)
-
-    def run(start: int, end: int) -> None:
-        for i in range(start, end):
-            values[i] = kernel(substream(seed, i))
-
-    starts = range(0, trials, _CHUNK)
-    workers = _worker_count()
-    if workers == 1 or len(starts) == 1:
-        run(0, trials)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, s, min(s + _CHUNK, trials)) for s in starts]
-            for f in futures:
-                f.result()
+    for i in range(trials):
+        values[i] = kernel(substream(seed, i))
     return values
 
 
@@ -94,17 +71,32 @@ def _occ_matrix(letters: np.ndarray, m: int, n: int) -> np.ndarray:
     return np.argsort(letters, kind="stable").reshape(n, m)
 
 
-def _l1_from_occ(occ: np.ndarray, m: int, n: int) -> int:
+def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[int, int]:
+    """Greedy chain through the given rows of occ, in order.
+
+    Each row contributes its first position after the previous pick; the
+    walk stops at a row with none.  Returns (steps, j): the number of rows
+    matched and the index within its row of the last pick (-1 if none).
+    Taking the earliest position never hurts later rows, so steps is the
+    longest chain through the rows as a subsequence.
+    """
+    m = occ.shape[1]
     pos = -1
-    count = 0
-    for v in range(n):
+    steps = 0
+    j = -1
+    for v in rows:
         row = occ[v]
-        j = int(np.searchsorted(row, pos, side="right"))
-        if j == m:
+        k = int(np.searchsorted(row, pos, side="right"))
+        if k == m:
             break
-        pos = int(row[j])
-        count += 1
-    return count
+        pos = int(row[k])
+        j = k
+        steps += 1
+    return steps, j
+
+
+def _l1_from_occ(occ: np.ndarray) -> int:
+    return _walk(occ, range(occ.shape[0]))[0]
 
 
 def _lmax_from_occ(occ: np.ndarray, m: int, n: int) -> int:
@@ -141,26 +133,21 @@ def _lis_from_letters(letters: np.ndarray) -> int:
     return len(tails)
 
 
-def _contains_subsequence(occ: np.ndarray, m: int, pattern: tuple[int, ...]) -> bool:
-    pos = -1
-    for letter in pattern:
-        row = occ[letter - 1]
-        j = int(np.searchsorted(row, pos, side="right"))
-        if j == m:
-            return False
-        pos = int(row[j])
-    return True
+def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> bool:
+    return _walk(occ, (letter - 1 for letter in pattern))[0] == len(pattern)
+
+
+def _l1_values(m: int, n: int, trials: int, seed: int) -> np.ndarray:
+    def kernel(gen):
+        return _l1_from_occ(_occ_matrix(_sample_letters(gen, m, n), m, n))
+
+    return _collect(trials, seed, kernel)
 
 
 def estimate_l1(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the greedy run length starting at value 1."""
     _check_mn(m, n)
-
-    def kernel(gen):
-        letters = _sample_letters(gen, m, n)
-        return _l1_from_occ(_occ_matrix(letters, m, n), m, n)
-
-    return Estimate.from_values(_collect(trials, seed, kernel), seed)
+    return Estimate.from_values(_l1_values(m, n, trials, seed), seed)
 
 
 def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
@@ -235,11 +222,7 @@ def moments(m: int, n: int, r_max: int, trials: int, seed: int) -> MomentReport:
     if not 2 <= r_max <= 8:
         raise DomainError(f"need 2 <= r_max <= 8, got {r_max}")
 
-    def kernel(gen):
-        letters = _sample_letters(gen, m, n)
-        return _l1_from_occ(_occ_matrix(letters, m, n), m, n)
-
-    values = _collect(trials, seed, kernel)[:, 0]
+    values = _l1_values(m, n, trials, seed)[:, 0]
     mu = Estimate.from_values(values[:, None], seed)
     centered = values - np.mean(values)
     central = {r: Estimate.from_values((centered**r)[:, None], seed) for r in range(2, r_max + 1)}
@@ -294,9 +277,9 @@ def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Re
 
     def kernel(gen):
         pi = _sample_letters(gen, m, n)
-        tail = _l1_from_occ(_occ_matrix(pi, m, n), m, n) >= k
+        tail = _l1_from_occ(_occ_matrix(pi, m, n)) >= k
         tau = _sample_letters(gen, m, k)
-        comp = _l1_from_occ(_occ_matrix(tau, m, k), m, k) == k
+        comp = _l1_from_occ(_occ_matrix(tau, m, k)) == k
         return (float(tail), float(comp))
 
     values = _collect(trials, seed, kernel, width=2)
@@ -343,10 +326,10 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
 
     def kernel(gen):
         pi = _sample_letters(gen, m, n)
-        direct = _contains_subsequence(_occ_matrix(pi, m, n), m, w)
+        direct = _contains_subsequence(_occ_matrix(pi, m, n), w)
         labels = gen.permutation(m * n)
         tau = labels // m + 1
-        projected = _contains_subsequence(_occ_matrix(tau, m, n), m, w)
+        projected = _contains_subsequence(_occ_matrix(tau, m, n), w)
         return (float(direct), float(projected))
 
     values = _collect(trials, seed, kernel, width=2)

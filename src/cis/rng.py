@@ -3,9 +3,9 @@
 All randomness in the package flows through RandomSource: a (seed, stream)
 pair mapped onto a counter-based Philox generator.  The map is the fixed
 splitting function used everywhere, so trial j of any estimator draws from
-the generator keyed by (seed, j) no matter how work is divided among
-workers.  Two sources with different stream indices are independent for
-practical purposes; the same pair always reproduces the same draws.
+the generator keyed by (seed, j), whatever the order the trials run in.
+Two sources with different stream indices are independent for practical
+purposes; the same pair always reproduces the same draws.
 """
 
 from __future__ import annotations

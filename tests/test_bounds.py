@@ -106,6 +106,8 @@ def test_inverse_gamma_round_trip():
         inverse_gamma(0.5)
     with pytest.raises(DomainError):
         inverse_gamma(float("nan"))
+    with pytest.raises(DomainError):
+        inverse_gamma(float("inf"))
 
 
 def test_factorial_threshold_examples():

@@ -68,7 +68,7 @@ def test_closed_scorers_match_play():
         word = make_word(letters.tolist(), m, n)
         occ = _occ_matrix(letters, m, n)
         assert _safe_score(occ, m, n) == play(word, "safe").score
-        assert _shifting_score(occ, m, n) == play(word, "shifting").score
+        assert _shifting_score(occ) == play(word, "shifting").score
         assert play(word, "trivial").score == m
 
 

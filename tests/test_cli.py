@@ -76,6 +76,13 @@ def test_domain_error_exits_2(run_cli, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infinite_invgamma_argument_exits_2(run_cli, capsys):
+    code, out = run_cli("invgamma", "--y", "inf")
+    assert code == 2
+    assert out == ""
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_pattern_exits_2(run_cli):
     code, _ = run_cli(
         "mc", "obs2", "--m", "2", "--n", "4", "--trials", "64", "--seed", "1",
@@ -121,6 +128,15 @@ def test_out_writes_file_and_silences_stdout(run_cli, tmp_path):
     assert out == ""
     rec = json.loads(target.read_text(encoding="utf-8"))
     assert rec["value"] == "19/20"
+
+
+def test_unwritable_out_exits_2(run_cli, tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out = run_cli("l1-approx", "--m", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {target}" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_roots_power_sum_check(run_cli):

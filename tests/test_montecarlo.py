@@ -1,4 +1,4 @@
-"""Monte Carlo kernels against exact references, plus determinism contracts."""
+"""Monte Carlo kernels against exact references, plus pinned seeded outputs."""
 
 import math
 
@@ -14,13 +14,17 @@ from cis import (
     estimate_l1,
     estimate_lis,
     estimate_lmax,
+    expected_score,
     l1,
     l1_finite_expectation,
     l_max,
+    l_start,
     make_word,
     moments,
+    play,
     raw_target,
 )
+from cis.cardgame import _shifting_score
 from cis.montecarlo import (
     Estimate,
     _contains_subsequence,
@@ -29,6 +33,7 @@ from cis.montecarlo import (
     _lmax_from_occ,
     _occ_matrix,
     _sample_letters,
+    _walk,
 )
 from cis.rng import substream
 
@@ -57,12 +62,15 @@ def test_kernels_match_word_level_references(m, n):
         letters = _sample_letters(gen, m, n)
         occ = _occ_matrix(letters, m, n)
         word = make_word(letters.tolist(), m, n)
-        assert _l1_from_occ(occ, m, n) == l1(word)
+        assert _l1_from_occ(occ) == l1(word)
+        for i in range(1, n + 1):
+            assert _walk(occ, range(i - 1, n))[0] == l_start(word, i)
+        assert _shifting_score(occ) == play(word, "shifting").score
         assert _lmax_from_occ(occ, m, n) == l_max(word)
         assert _lis_from_letters(letters) == _lis_reference(letters.tolist())
         for pattern in [(1,), (1, 2), (2, 3), (1, n), (n,)]:
             if len(set(pattern)) == len(pattern) and max(pattern) <= n:
-                assert _contains_subsequence(occ, m, pattern) == _contains_reference(
+                assert _contains_subsequence(occ, pattern) == _contains_reference(
                     letters.tolist(), pattern
                 )
 
@@ -100,13 +108,28 @@ def test_estimate_lis_tracks_two_sqrt_n():
     assert abs(est.mean - 100.0) < 10.0
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    results = []
-    for threads in ("1", "8"):
-        monkeypatch.setenv("CIS_THREADS", threads)
-        est = estimate_l1(2, 25, 1500, seed=42)
-        results.append((est.mean, est.std_error))
-    assert results[0] == results[1]
+def test_seeded_outputs_are_pinned():
+    # a seeded output may change only together with a __version__ bump
+    def pair(est):
+        return (est.mean, est.std_error)
+
+    assert pair(estimate_l1(2, 8, 300, seed=7)) == (2.6733333333333333, 0.07238466139146191)
+    assert pair(estimate_l1(3, 3, 300, seed=7)) == (2.7533333333333334, 0.029816732425196977)
+    assert pair(estimate_lmax(2, 8, 300, seed=7)) == (4.096666666666667, 0.0593721016230132)
+    rep = moments(2, 8, r_max=3, trials=300, seed=7)
+    assert pair(rep.mu) == (2.6733333333333333, 0.07238466139146191)
+    assert pair(rep.central[2]) == (1.5666222222222221, 0.1553742000851745)
+    assert pair(rep.central[3]) == (1.6634820740740737, 0.6273843283158445)
+    assert pair(rep.raw[3]) == (33.333333333333336, 3.00245285579056)
+    obs1 = check_observation1(2, 6, 3, trials=300, seed=7)
+    assert (obs1.freq_tail, obs1.freq_complete, obs1.pooled_se, obs1.gap_in_se) == (
+        0.5666666666666667, 0.5, 0.04064298035149307, 1.640299655441424)
+    obs2 = check_observation2(2, 4, (2, 4), trials=300, seed=7)
+    assert (obs2.freq_multiset, obs2.freq_labeled, obs2.pooled_se, obs2.gap_in_se) == (
+        0.8533333333333334, 0.8, 0.03083048034848822, 1.7298897951146763)
+    assert pair(expected_score(2, 8, "safe", 300, seed=7)) == (
+        2.7533333333333334, 0.05780707029801792)
+    assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.46, 0.06530265700768306)
 
 
 def test_validation():
