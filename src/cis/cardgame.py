@@ -19,8 +19,9 @@ guess was right.  The score is the number of correct guesses.
 
 play() walks a single deck card by card and returns the full trace;
 expected_score() Monte Carlos the mean over uniform decks using closed
-scorers on the occurrence matrix that are step-for-step equivalent to
-play() (the test suite checks the equivalence).
+scorers on the occurrence tensor of a block of decks (see montecarlo),
+which are step-for-step equivalent to play() (the test suite checks the
+equivalence).  The trivial player needs no decks at all.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import Estimate, _collect, _occ_matrix, _sample_letters, _walk
+from .montecarlo import Estimate, _base, _check_trials, _collect, _occ_tensor, _walk
 from .words import Word
 
 STRATEGIES = ("trivial", "safe", "shifting")
@@ -82,27 +83,30 @@ def play(word: Word, strategy: str) -> GameTrace:
     )
 
 
-def _safe_score(occ: np.ndarray, m: int, n: int) -> int:
+def _safe_score(occ: np.ndarray) -> np.ndarray:
     # all copies of 1 are always caught; from then on type v only counts
     # its copies after the position where type v-1 was completed
-    score = m
-    pos = int(occ[0, m - 1])
+    trials, n, m = occ.shape
+    score = np.full(trials, m * n, dtype=np.int64)  # no stall
+    alive = np.arange(trials)
+    pos = occ[:, 0, m - 1]
     for v in range(1, n):
-        row = occ[v]
-        j = int(np.searchsorted(row, pos, side="right"))
-        if j > 0:
-            return score + (m - j)  # some copies already gone: stuck here
-        score += m
-        pos = int(row[m - 1])
+        row = occ[alive, v]
+        j = np.count_nonzero(row <= pos[:, None], axis=1)
+        stuck = j > 0  # some copies already gone: stuck on type v+1
+        score[alive[stuck]] = m * (v + 1) - j[stuck]
+        alive, pos = alive[~stuck], row[~stuck, m - 1]
+        if alive.size == 0:
+            break
     return score
 
 
-def _shifting_score(occ: np.ndarray) -> int:
+def _shifting_score(occ: np.ndarray) -> np.ndarray:
     # the greedy chain; a player who reaches type n camps there and also
     # catches every copy of n after the one that completed the chain
-    n, m = occ.shape
+    _, n, m = occ.shape
     steps, j = _walk(occ, range(n))
-    return steps + (m - 1 - j if steps == n else 0)
+    return steps + np.where(steps == n, m - 1 - j, 0)
 
 
 def safe_expected_exact(m: int, n: int) -> Fraction:
@@ -137,11 +141,10 @@ def expected_score(m: int, n: int, strategy: str, trials: int, seed: int) -> Est
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
-    def kernel(gen):
-        letters = _sample_letters(gen, m, n)
-        if strategy == "trivial":
-            return int(np.count_nonzero(letters == 1))
-        occ = _occ_matrix(letters, m, n)
-        return _safe_score(occ, m, n) if strategy == "safe" else _shifting_score(occ)
-
-    return Estimate.from_values(_collect(trials, seed, kernel), seed)
+    if strategy == "trivial":  # catches exactly the m copies of type 1
+        _check_trials(trials)
+        return Estimate.from_values(np.full((trials, 1), float(m)), seed)
+    scorer = _safe_score if strategy == "safe" else _shifting_score
+    values = _collect(trials, seed, [_base(m, n)],
+                      lambda letters: scorer(_occ_tensor(letters, m, n)))
+    return Estimate.from_values(values, seed)

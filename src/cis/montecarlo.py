@@ -1,16 +1,21 @@
 """Seeded Monte Carlo estimators for run statistics of multiset words.
 
-Every estimator draws trial j from the Philox substream keyed by
-(seed, j), fills a preallocated value array in trial order, and reduces
-it with fixed-shape numpy operations, so a seed fixes every statistic
-bitwise.
+Every estimator draws trial i from the Philox stream keyed by (seed, i),
+fills a preallocated value array in trial order, and reduces it with
+fixed-shape numpy operations, so a seed fixes every statistic bitwise.
 
-The kernels avoid per-letter Python loops.  A word is summarized by its
-occurrence matrix occ (row v-1 lists the positions of value v in
-increasing order, via one stable argsort).  The greedy chain behind l1,
-pattern containment and the shifting card-game player is one
-searchsorted walk over its rows (_walk); the all-starts chain for l_max
-advances every start in lockstep.
+Trials run in blocks.  One generator is re-keyed to (seed, i) for each
+trial (rng.substreams) and shuffles a copy of each base word into row i
+of a (T, len) block, drawing exactly what gen.permutation(base) would.
+Blocks hold about _BLOCK_LETTERS letters and at least one trial.
+
+The kernels avoid per-trial Python loops.  A block of words is summarized
+by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
+positions of value v in word t in increasing order, from one stable
+argsort along the rows.  The greedy chain behind l1, pattern containment
+and the shifting card-game player is one walk over rows of occ (_walk);
+the all-starts chain for l_max advances every (trial, start) pair in
+lockstep.  Each step touches only the trials still alive.
 """
 
 from __future__ import annotations
@@ -25,16 +30,48 @@ import numpy as np
 
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
-from .rng import substream
+from .rng import substreams
+
+_BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
 
 
-def _collect(trials: int, seed: int, kernel: Callable, width: int = 1) -> np.ndarray:
-    """Fill a (trials, width) array, kernel(gen) giving one trial's row."""
+def _base(m: int, n: int) -> np.ndarray:
+    """The sorted word 1^m 2^m ... n^m that each trial shuffles."""
+    return np.repeat(_small_range(1, n + 1), m)
+
+
+def _small_range(start: int, stop: int) -> np.ndarray:
+    # the smallest unsigned dtype that holds the values: the shuffle draws
+    # the same whatever the dtype, and the stable argsort radix-sorts 8- and
+    # 16-bit keys, several times faster than 64-bit ones
+    return np.arange(start, stop, dtype=np.min_scalar_type(stop))
+
+
+def _check_trials(trials: int) -> None:
     if trials < 2:
         raise DomainError(f"need trials >= 2, got {trials}")
+
+
+def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable,
+             width: int = 1) -> np.ndarray:
+    """Fill a (trials, width) array block by block.
+
+    Trial i shuffles a copy of each base, in order, with the stream keyed
+    by (seed, i).  kernel(*blocks) maps the (T, len(base)) blocks of
+    shuffled words to the T trials' values, shape (T,) or (T, width).
+    """
+    _check_trials(trials)
     values = np.empty((trials, width), dtype=np.float64)
-    for i in range(trials):
-        values[i] = kernel(substream(seed, i))
+    size = max(1, _BLOCK_LETTERS // sum(len(b) for b in bases))
+    streams = substreams(seed, trials)
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        blocks = [np.tile(b, (count, 1)) for b in bases]
+        for t in range(count):
+            gen = next(streams)
+            for block in blocks:
+                gen.shuffle(block[t])
+        values[start:start + count] = np.reshape(kernel(*blocks), (count, width))
     return values
 
 
@@ -61,65 +98,67 @@ def _check_mn(m: int, n: int) -> None:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
 
-def _sample_letters(gen: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """Uniform multiset word as an int64 array of values in 1..n."""
-    return gen.permutation(np.repeat(np.arange(1, n + 1, dtype=np.int64), m))
-
-
-def _occ_matrix(letters: np.ndarray, m: int, n: int) -> np.ndarray:
+def _occ_tensor(letters: np.ndarray, m: int, n: int) -> np.ndarray:
     # stable argsort groups equal values and keeps positions increasing
-    return np.argsort(letters, kind="stable").reshape(n, m)
+    return np.argsort(letters, axis=1, kind="stable").reshape(-1, n, m)
 
 
-def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[int, int]:
-    """Greedy chain through the given rows of occ, in order.
+def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy chain through the given rows of each trial's occ, in order.
 
-    Each row contributes its first position after the previous pick; the
-    walk stops at a row with none.  Returns (steps, j): the number of rows
-    matched and the index within its row of the last pick (-1 if none).
-    Taking the earliest position never hurts later rows, so steps is the
-    longest chain through the rows as a subsequence.
+    Each row contributes its first position after the previous pick; a
+    trial's walk stops at a row with none.  Returns per-trial arrays
+    (steps, j): the number of rows matched and the index within its row
+    of the last pick (-1 if none).  Taking the earliest position never
+    hurts later rows, so steps is the longest chain through the rows as a
+    subsequence.
     """
-    m = occ.shape[1]
-    pos = -1
-    steps = 0
-    j = -1
+    trials, _, m = occ.shape
+    steps = np.zeros(trials, dtype=np.int64)
+    j = np.full(trials, -1, dtype=np.int64)
+    alive = np.arange(trials)
+    pos = np.full(trials, -1, dtype=np.int64)
     for v in rows:
-        row = occ[v]
-        k = int(np.searchsorted(row, pos, side="right"))
-        if k == m:
+        row = occ[alive, v]
+        k = np.count_nonzero(row <= pos[:, None], axis=1)
+        ok = np.flatnonzero(k < m)
+        if ok.size == 0:
             break
-        pos = int(row[k])
-        j = k
-        steps += 1
+        alive, k = alive[ok], k[ok]
+        pos = row.ravel()[ok * m + k]
+        j[alive] = k
+        steps[alive] += 1
     return steps, j
 
 
-def _l1_from_occ(occ: np.ndarray) -> int:
-    return _walk(occ, range(occ.shape[0]))[0]
+def _l1_from_occ(occ: np.ndarray) -> np.ndarray:
+    return _walk(occ, range(occ.shape[1]))[0]
 
 
-def _lmax_from_occ(occ: np.ndarray, m: int, n: int) -> int:
-    # one chain per starting value, all advanced in lockstep; l_max is
-    # 1 + number of rounds in which at least one chain finds its next value
-    cur = occ[:, 0].copy()
-    vals = np.arange(n)
-    length = 1
-    while True:
-        nxt = vals + 1
-        alive = nxt < n
-        if not alive.any():
-            return length
-        rows = occ[nxt[alive]]
-        thresh = cur[alive]
-        idx = (rows <= thresh[:, None]).sum(axis=1)
-        ok = idx < m
-        if not ok.any():
-            return length
-        sel = np.nonzero(ok)[0]
-        cur = rows[sel, idx[sel]]
-        vals = nxt[alive][ok]
-        length += 1
+def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
+    # one chain per (trial, starting value), all advanced in lockstep over
+    # the flat rows trial*n + v; a trial's l_max is 1 + the number of
+    # rounds in which at least one of its chains finds its next value.
+    # A chain that steps past value n lands on the next trial's first row
+    # (clipped after the last trial) and is dropped by `past_top`.  Chains
+    # stay sorted, so each trial's live chains are one contiguous run,
+    # counted by searchsorted against the trials' edges.
+    trials, n, m = occ.shape
+    flat = occ.reshape(trials * n, m)
+    edges = np.arange(trials + 1) * n
+    past_top = np.zeros(trials * n + 1, dtype=bool)
+    past_top[n::n] = True
+    chain = np.arange(trials * n)
+    cur = flat[:, 0]
+    length = np.ones(trials, dtype=np.int64)
+    while chain.size:
+        chain += 1
+        rows = flat.take(chain, axis=0, mode="clip")
+        idx = np.count_nonzero(rows <= cur[:, None], axis=1)
+        ok = np.flatnonzero((idx < m) & ~past_top[chain])
+        chain, cur = chain[ok], rows.ravel()[ok * m + idx[ok]]
+        length += np.diff(np.searchsorted(chain, edges)) > 0
+    return length
 
 
 def _lis_from_letters(letters: np.ndarray) -> int:
@@ -133,15 +172,13 @@ def _lis_from_letters(letters: np.ndarray) -> int:
     return len(tails)
 
 
-def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> bool:
+def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     return _walk(occ, (letter - 1 for letter in pattern))[0] == len(pattern)
 
 
 def _l1_values(m: int, n: int, trials: int, seed: int) -> np.ndarray:
-    def kernel(gen):
-        return _l1_from_occ(_occ_matrix(_sample_letters(gen, m, n), m, n))
-
-    return _collect(trials, seed, kernel)
+    return _collect(trials, seed, [_base(m, n)],
+                    lambda letters: _l1_from_occ(_occ_tensor(letters, m, n)))
 
 
 def estimate_l1(m: int, n: int, trials: int, seed: int) -> Estimate:
@@ -156,21 +193,18 @@ def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
     if m * n > 10**8:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
 
-    def kernel(gen):
-        letters = _sample_letters(gen, m, n)
-        return _lmax_from_occ(_occ_matrix(letters, m, n), m, n)
-
-    return Estimate.from_values(_collect(trials, seed, kernel), seed)
+    values = _collect(trials, seed, [_base(m, n)],
+                      lambda letters: _lmax_from_occ(_occ_tensor(letters, m, n)))
+    return Estimate.from_values(values, seed)
 
 
 def estimate_lis(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the longest strictly increasing subsequence."""
     _check_mn(m, n)
 
-    def kernel(gen):
-        return _lis_from_letters(_sample_letters(gen, m, n))
-
-    return Estimate.from_values(_collect(trials, seed, kernel), seed)
+    values = _collect(trials, seed, [_base(m, n)],
+                      lambda letters: [_lis_from_letters(row) for row in letters])
+    return Estimate.from_values(values, seed)
 
 
 def central_target(r: int, m: int) -> float:
@@ -275,14 +309,12 @@ def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Re
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
 
-    def kernel(gen):
-        pi = _sample_letters(gen, m, n)
-        tail = _l1_from_occ(_occ_matrix(pi, m, n)) >= k
-        tau = _sample_letters(gen, m, k)
-        comp = _l1_from_occ(_occ_matrix(tau, m, k)) == k
-        return (float(tail), float(comp))
+    def kernel(pi, tau):
+        tail = _l1_from_occ(_occ_tensor(pi, m, n)) >= k
+        comp = _l1_from_occ(_occ_tensor(tau, m, k)) == k
+        return np.stack([tail, comp], axis=1)
 
-    values = _collect(trials, seed, kernel, width=2)
+    values = _collect(trials, seed, [_base(m, n), _base(m, k)], kernel, width=2)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)
@@ -324,15 +356,12 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
     if any(x < 1 or x > n for x in w):
         raise DomainError(f"pattern letters must lie in 1..{n}, got {w}")
 
-    def kernel(gen):
-        pi = _sample_letters(gen, m, n)
-        direct = _contains_subsequence(_occ_matrix(pi, m, n), w)
-        labels = gen.permutation(m * n)
-        tau = labels // m + 1
-        projected = _contains_subsequence(_occ_matrix(tau, m, n), w)
-        return (float(direct), float(projected))
+    def kernel(pi, labels):
+        direct = _contains_subsequence(_occ_tensor(pi, m, n), w)
+        projected = _contains_subsequence(_occ_tensor(labels // m + 1, m, n), w)
+        return np.stack([direct, projected], axis=1)
 
-    values = _collect(trials, seed, kernel, width=2)
+    values = _collect(trials, seed, [_base(m, n), _small_range(0, m * n)], kernel, width=2)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)

@@ -6,11 +6,16 @@ splitting function used everywhere, so trial j of any estimator draws from
 the generator keyed by (seed, j), whatever the order the trials run in.
 Two sources with different stream indices are independent for practical
 purposes; the same pair always reproduces the same draws.
+
+substream(seed, j) builds that generator afresh; substreams(seed, count)
+gives the same streams for j = 0..count-1 from one generator that is
+re-keyed in place between trials, which costs about a tenth as much.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +52,35 @@ class RandomSource:
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for trial `index` under master `seed`.
 
-    Shorthand used by the Monte Carlo drivers; equivalent to
-    RandomSource(seed, index).generator().
+    Equivalent to RandomSource(seed, index).generator(); the per-call
+    reference that substreams() reproduces.
     """
     return RandomSource(seed, index).generator()
+
+
+def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """Generators for trials 0..count-1 under master `seed`, in order.
+
+    Yields one Generator, re-keyed before each yield: its Philox state is
+    set to key (seed, i), a zero counter and an empty buffer, which is the
+    state that substream(seed, i) starts in, so the draws are the same.
+    Finish drawing for trial i before asking for trial i+1.
+    """
+    RandomSource(seed)  # validates the seed
+    bitgen = np.random.Philox(key=[seed, 0])
+    gen = np.random.Generator(bitgen)
+    # the key words exactly as Philox coerced [seed, 0] (seeds of 2^63 and
+    # above pass through float64, as they do in substream)
+    key = bitgen.state["state"]["key"].tolist()
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for i in range(count):
+        key[1] = i
+        bitgen.state = state
+        yield gen

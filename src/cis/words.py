@@ -121,8 +121,13 @@ def l_max(word: Word) -> int:
     letter v seen so far; each letter x updates
     best[x] = max(best[x], best[x-1] + 1).
     """
-    best = [0] * (word.n + 1)
-    for x in word.letters:
+    return _l_max_letters(word.letters, word.n)
+
+
+def _l_max_letters(letters: Iterable[int], n: int) -> int:
+    """l_max of a letter sequence over 1..n, without building a Word."""
+    best = [0] * (n + 1)
+    for x in letters:
         cand = best[x - 1] + 1
         if cand > best[x]:
             best[x] = cand

@@ -68,5 +68,5 @@ def test_criterion_12_longest_increasing_subsequence_probe():
     _check(12)
 
 
-def test_criterion_13_seeded_determinism_across_worker_counts():
+def test_criterion_13_seeded_determinism_across_repeated_runs():
     _check(13)

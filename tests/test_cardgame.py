@@ -16,7 +16,7 @@ from cis import (
     safe_expected_exact,
 )
 from cis.cardgame import _safe_score, _shifting_score
-from cis.montecarlo import _occ_matrix, _sample_letters
+from cis.montecarlo import _base, _occ_tensor
 from cis.rng import substream
 
 _DECK = make_word([2, 1, 1, 3, 2, 3], 2, 3)
@@ -47,7 +47,7 @@ def test_trace_invariants():
     for trial in range(40):
         gen = substream(2024, trial)
         m, n = 1 + trial % 3, 2 + trial % 5
-        letters = _sample_letters(gen, m, n).tolist()
+        letters = gen.permutation(_base(m, n)).tolist()
         word = make_word(letters, m, n)
         for strategy in ("trivial", "safe", "shifting"):
             trace = play(word, strategy)
@@ -64,11 +64,11 @@ def test_closed_scorers_match_play():
     for trial in range(300):
         gen = substream(31337, trial)
         m, n = 1 + trial % 4, 1 + trial % 6
-        letters = _sample_letters(gen, m, n)
+        letters = gen.permutation(_base(m, n))
         word = make_word(letters.tolist(), m, n)
-        occ = _occ_matrix(letters, m, n)
-        assert _safe_score(occ, m, n) == play(word, "safe").score
-        assert _shifting_score(occ) == play(word, "shifting").score
+        occ = _occ_tensor(letters[None], m, n)
+        assert _safe_score(occ)[0] == play(word, "safe").score
+        assert _shifting_score(occ)[0] == play(word, "shifting").score
         assert play(word, "trivial").score == m
 
 
@@ -76,7 +76,7 @@ def test_shifting_scores_at_least_l1():
     for trial in range(200):
         gen = substream(555, trial)
         m, n = 1 + trial % 3, 1 + trial % 7
-        letters = _sample_letters(gen, m, n).tolist()
+        letters = gen.permutation(_base(m, n)).tolist()
         word = make_word(letters, m, n)
         trace = play(word, "shifting")
         assert trace.score >= l1(word)
@@ -89,6 +89,9 @@ def test_trivial_expected_score_is_exactly_m():
     est = expected_score(3, 5, "trivial", trials=500, seed=1)
     assert est.mean == 3.0
     assert est.std_error == 0.0
+    # no deck is sampled, so the seed changes nothing but the record
+    other = expected_score(3, 5, "trivial", trials=500, seed=2)
+    assert (other.mean, other.std_error, other.ci95) == (est.mean, est.std_error, est.ci95)
 
 
 def test_safe_expected_score_small_deck():
@@ -133,6 +136,8 @@ def test_validation():
         expected_score(2, 2, "greedy", trials=10, seed=0)
     with pytest.raises(DomainError):
         expected_score(0, 2, "trivial", trials=10, seed=0)
+    with pytest.raises(DomainError):
+        expected_score(2, 2, "trivial", trials=1, seed=0)
     for m, n in ((0, 3), (3, 0), (-1, 2), (2, -1)):
         with pytest.raises(DomainError):
             safe_expected_exact(m, n)

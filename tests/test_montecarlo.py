@@ -24,18 +24,20 @@ from cis import (
     play,
     raw_target,
 )
-from cis.cardgame import _shifting_score
+from cis import montecarlo
+from cis.cardgame import _safe_score, _shifting_score
 from cis.montecarlo import (
     Estimate,
+    _base,
+    _collect,
     _contains_subsequence,
     _l1_from_occ,
     _lis_from_letters,
     _lmax_from_occ,
-    _occ_matrix,
-    _sample_letters,
+    _occ_tensor,
     _walk,
 )
-from cis.rng import substream
+from cis.rng import substream, substreams
 
 
 def _lis_reference(letters):
@@ -55,30 +57,56 @@ def _contains_reference(letters, pattern):
     return all(any(x == p for x in it) for p in pattern)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("seed", [20260822, 2**63 + 12345, 2**64 - 1])
+def test_substreams_match_substream(seed):
+    for i, gen in enumerate(substreams(seed, 4)):
+        ref = substream(seed, i)
+        assert gen.permutation(50).tolist() == ref.permutation(50).tolist()
+        assert gen.random() == ref.random()
+        # an odd number of 32-bit draws leaves half a word buffered, which
+        # the next trial must not see
+        draws = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for g in (gen, ref)]
+        assert draws[0] == draws[1]
+    assert i == 3
+
+
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 5), (3, 4), (4, 2), (2, 1), (1, 1)])
-def test_kernels_match_word_level_references(m, n):
-    for trial in range(60):
-        gen = substream(123456 + 17 * m + n, trial)
-        letters = _sample_letters(gen, m, n)
-        occ = _occ_matrix(letters, m, n)
-        word = make_word(letters.tolist(), m, n)
-        assert _l1_from_occ(occ) == l1(word)
-        for i in range(1, n + 1):
-            assert _walk(occ, range(i - 1, n))[0] == l_start(word, i)
-        assert _shifting_score(occ) == play(word, "shifting").score
-        assert _lmax_from_occ(occ, m, n) == l_max(word)
-        assert _lis_from_letters(letters) == _lis_reference(letters.tolist())
-        for pattern in [(1,), (1, 2), (2, 3), (1, n), (n,)]:
-            if len(set(pattern)) == len(pattern) and max(pattern) <= n:
-                assert _contains_subsequence(occ, pattern) == _contains_reference(
-                    letters.tolist(), pattern
-                )
+def test_kernels_match_word_level_references(m, n, monkeypatch):
+    # 61 trials: one trial per block, 7 per block (a short last block), one block
+    trials, seed = 61, 123456 + 17 * m + n
+    words = [make_word(substream(seed, i).permutation(_base(m, n)).tolist(), m, n)
+             for i in range(trials)]
+    patterns = [p for p in [(1,), (1, 2), (2, 3), (1, n), (n,)]
+                if len(set(p)) == len(p) and max(p) <= n]
+    want = [
+        [*w.letters, l1(w), l_max(w), play(w, "safe").score, play(w, "shifting").score,
+         _lis_reference(w.letters), *(l_start(w, i) for i in range(1, n + 1)),
+         *(_contains_reference(w.letters, p) for p in patterns)]
+        for w in words
+    ]
+
+    def kernel(letters):
+        occ = _occ_tensor(letters, m, n)
+        return np.column_stack([
+            letters, _l1_from_occ(occ), _lmax_from_occ(occ), _safe_score(occ),
+            _shifting_score(occ), [_lis_from_letters(row) for row in letters],
+            *(_walk(occ, range(i - 1, n))[0] for i in range(1, n + 1)),
+            *(_contains_subsequence(occ, p) for p in patterns),
+        ])
+
+    for per_block in (1, 7, trials):
+        monkeypatch.setattr(montecarlo, "_BLOCK_LETTERS", per_block * m * n)
+        got = _collect(trials, seed, [_base(m, n)], kernel, width=len(want[0]))
+        assert got.tolist() == want
 
 
 def test_sampled_letters_form_valid_words():
-    gen = substream(9, 0)
-    letters = _sample_letters(gen, 3, 7)
-    assert sorted(letters.tolist()) == [v for v in range(1, 8) for _ in range(3)]
+    def sorted_rows(letters):
+        return [sorted(row) == [v for v in range(1, 8) for _ in range(3)]
+                for row in letters.tolist()]
+
+    assert _collect(5, 9, [_base(3, 7)], sorted_rows).all()
 
 
 def test_estimate_l1_hits_exact_expectation():
