@@ -26,6 +26,9 @@ from .exact import complete_prob
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# largest k for which factorial_threshold computes k!; at 10^5 a call takes about a second
+FACTORIAL_K_CAP = 10**5
+
 
 @dataclass(frozen=True)
 class WordFamily:
@@ -184,19 +187,23 @@ def factorial_threshold(m: int, t: int, c: float) -> FactorialThreshold:
     with the adjusted C, m^(Ct) equals t^(k-t), and the upper comparison
     k! <= t! (1.1)^k m^(Ct) is scaled by 10^k to clear the decimals.  The
     upper bound is only claimed for t >= m^(10C), which likewise reduces
-    to the integer test t >= 10(k - t).
+    to the integer test t >= 10(k - t).  Raises SpaceTooLarge, before any
+    factorial is computed, when k would exceed FACTORIAL_K_CAP.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
     if t < 2:
         raise DomainError(f"need t >= 2, got t={t}")
-    if not c > 0:
-        raise DomainError(f"need C > 0, got C={c}")
+    if not 0 < c < math.inf:
+        raise DomainError(f"need a finite C > 0, got C={c}")
+    # t is tested first so that c * t cannot overflow; k0 <= cap then keeps k <= cap
+    k0 = t if t > FACTORIAL_K_CAP or m == 1 else t + c * t * math.log(m) / math.log(t)
+    if k0 > FACTORIAL_K_CAP:
+        raise SpaceTooLarge(f"k for t={t}, C={c} exceeds the cap {FACTORIAL_K_CAP} on factorial sizes")
     if m == 1:
         k = t
         c_adj = float(c)
     else:
-        k0 = t + c * t * math.log(m) / math.log(t)
         k = max(math.ceil(k0 - 1e-9), t + 1)
         c_adj = (k - t) * math.log(t) / (t * math.log(m))
     lower_ok = math.factorial(k) >= math.factorial(t) * t ** (k - t)

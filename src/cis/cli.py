@@ -1,13 +1,16 @@
 """Command line surface: one subcommand per operation, JSON/CSV/plain output.
 
-Every command emits a versioned result record (schema 1).  Exact and
-spectral results are cached under CIS_CACHE_DIR keyed by quantity,
-canonical parameters, and tool version; Monte Carlo and card-game runs
-are cached only when an explicit --seed makes them reproducible.
+Each subcommand is a row of COMMANDS: path (joined with "-" it names the
+quantity), help, options in params order, a compute function taking the
+params as keywords and returning (value, stderr, meta), and cacheability.
+One driver, _execute, turns any row into a versioned record (schema 1),
+cached under CIS_CACHE_DIR by quantity, params and version; rows with a
+--seed are cached only when the seed is given.
 
 Exit codes: 0 success, 1 verify-all found failing criteria, 2 invalid
-arguments or domain errors, 3 numerical non-convergence, 4 resource cap
-exceeded.
+arguments, domain errors or an unwritable --out file, 3 numerical
+non-convergence, 4 resource cap exceeded, 5 internal error (one stderr
+line, no traceback).
 """
 
 from __future__ import annotations
@@ -20,317 +23,209 @@ import math
 import secrets
 import sys
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__, bounds, cardgame, exact, montecarlo, spectral
 from .cache import cache_get, cache_put
 from .errors import NoConvergence, SpaceTooLarge
 
-# commands whose output is worth persisting unconditionally
-_ALWAYS_CACHED = frozenset({"l1-exact", "l1-closed", "prob-complete", "roots", "recip-series"})
+# exception type -> exit code, first match wins; any other Exception exits 5
+_EXIT_CODES = ((SpaceTooLarge, 4), (NoConvergence, 3), (ValueError, 2))
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+class Command(NamedTuple):
+    path: tuple[str, ...]
+    help: str | None
+    args: tuple[tuple[str, str, dict], ...]  # (dest, flag, add_argument keywords), in params order
+    compute: Callable  # params as keywords -> (value, stderr, meta)
+    cacheable: bool
 
 
-def _record(quantity: str, params: dict, value, stderr=None, **meta) -> dict:
-    rec = {"schema": 1, "quantity": quantity, "params": params, "value": value}
-    if stderr is not None:
-        rec["stderr"] = stderr
-    rec["meta"] = {
-        "version": __version__,
-        "cached": False,
-        "timestamp": _timestamp(),
-        **{k: v for k, v in meta.items() if v is not None},
-    }
-    return rec
-
-
-def _run(quantity: str, params: dict, compute, cacheable: bool) -> dict:
-    if cacheable:
-        hit = cache_get(quantity, params, __version__)
-        if hit is not None:
-            hit.setdefault("meta", {})["cached"] = True
-            return hit
-    rec = compute()
-    if cacheable:
-        cache_put(quantity, params, __version__, rec)
-    return rec
-
-
-def _resolve_seed(args) -> tuple[int, bool]:
-    # no --seed: fresh entropy, and the run is not cacheable
-    if args.seed is None:
-        return secrets.randbits(63), False
-    return args.seed, True
+def _arg(flag: str, type=int, **kw) -> tuple[str, str, dict]:
+    """One option: an int unless type says otherwise, required unless it has a default."""
+    kw.setdefault("required", "default" not in kw)
+    return flag[2:].replace("-", "_"), flag, {**kw, "type": type} if type else kw
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each takes parsed args, returns a result record
+# compute helpers, and compute functions too long for a table cell
 
 
-def _cmd_l1_exact(args) -> dict:
-    params = {"m": args.m, "eps": args.eps, "max_n": args.max_n}
-
-    def compute():
-        res = exact.l1_series(args.m, eps=args.eps, max_n=args.max_n)
-        return _record(
-            "l1-exact", params, res.value,
-            engine="gf", terms_used=res.terms_used,
-            truncation_bound=res.truncation_bound,
-        )
-
-    return _run("l1-exact", params, compute, cacheable=True)
+def _finite(x):
+    """JSON has no infinity: a non-finite float is written as its string."""
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def _cmd_l1_closed(args) -> dict:
-    params = {"m": args.m, "bits": args.bits}
-
-    def compute():
-        cf = spectral.l1_closed_form(args.m, precision_bits=args.bits)
-        return _record(
-            "l1-closed", params, cf.value,
-            bits=args.bits, imag_residue=cf.imag_residue, value_str=cf.value_str,
-        )
-
-    return _run("l1-closed", params, compute, cacheable=True)
+def _fields(obj, value: str, *names: str, **extra):
+    """The value attribute, no stderr, and the named attributes plus extra as meta."""
+    return _finite(getattr(obj, value)), None, {**{k: _finite(getattr(obj, k)) for k in names}, **extra}
 
 
-def _cmd_l1_approx(args) -> dict:
-    params = {"m": args.m}
-    return _record("l1-approx", params, spectral.approx_l1(args.m))
+def _fraction(f, **extra):
+    return str(f), None, {**extra, "approx": float(f)}
 
 
-def _cmd_prob_complete(args) -> dict:
-    params = {"m": args.m, "n": args.n, "engine": args.engine}
-
-    def compute():
-        p = exact.complete_prob(args.m, args.n, engine=args.engine)
-        return _record(
-            "prob-complete", params, str(p),
-            engine=args.engine, approx=float(p),
-        )
-
-    return _run("prob-complete", params, compute, cacheable=True)
+def _estimate(est, trials: int, seed: int):
+    return est.mean, est.std_error, {"seed": seed, "trials": trials, "ci95": list(est.ci95)}
 
 
-def _cmd_roots(args) -> dict:
-    params = {"m": args.m, "bits": args.bits, "check_power_sums": bool(args.check_power_sums)}
-
-    def compute():
-        rs = spectral.find_roots(args.m, precision_bits=args.bits)
-        value = [[float(z.real), float(z.imag)] for z in rs.roots]
-        extra = {}
-        if args.check_power_sums:
-            rep = spectral.power_sum_check(rs)
-            extra["power_sum_max_deviation"] = rep.max_deviation
-            extra["power_sums_ok"] = rep.max_deviation < 1e-9
-        return _record(
-            "roots", params, value,
-            bits=args.bits, max_residual=float(max(rs.residuals)),
-            tolerance=rs.tolerance, **extra,
-        )
-
-    return _run("roots", params, compute, cacheable=True)
+def _roots(m, bits, check_power_sums):
+    rs = spectral.find_roots(m, precision_bits=bits)
+    meta = {"bits": bits, "max_residual": float(max(rs.residuals)), "tolerance": rs.tolerance}
+    if check_power_sums:
+        dev = spectral.power_sum_check(rs).max_deviation
+        meta.update(power_sum_max_deviation=dev, power_sums_ok=dev < 1e-9)
+    return [[float(z.real), float(z.imag)] for z in rs.roots], None, meta
 
 
-def _cmd_recip_series(args) -> dict:
-    params = {"m": args.m, "k": args.k}
-
-    def compute():
-        rs = spectral.reciprocal_series(args.m, args.k)
-        return _record(
-            "recip-series", params, [str(c) for c in rs.coefficients],
-            within_envelope=rs.within_envelope,
-            float_values=rs.as_floats(),
-            envelope=[float(e) for e in rs.envelope],
-        )
-
-    return _run("recip-series", params, compute, cacheable=True)
+def _recip_series(m, k):
+    rs = spectral.reciprocal_series(m, k)
+    return [str(c) for c in rs.coefficients], None, {
+        "within_envelope": rs.within_envelope, "float_values": rs.as_floats(),
+        "envelope": [float(e) for e in rs.envelope]}
 
 
-def _cmd_invgamma(args) -> dict:
-    params = {"y": args.y}
-    return _record("invgamma", params, bounds.inverse_gamma(args.y))
+def _gv_code(m, n, delta, cap):
+    size, gv = bounds.greedy_code(m, n, delta, cap=cap).size, bounds.gv_size_bound(m, n, delta)
+    return size, None, {"gv_bound": str(gv), "gv_bound_float": float(gv),
+                        "meets_gv": size >= gv, "min_distance": delta}
 
 
-def _cmd_bounds_tail(args) -> dict:
-    params = {"family": args.family, "n": args.n, "m": args.m, "k": args.k}
-    fam = bounds.continuous_runs(args.n) if args.family == "continuous" else bounds.arithmetic_progressions(args.n)
-    b = bounds.tail_bound(fam, args.m, args.k)
-    return _record("bounds-tail", params, str(b), approx=float(b))
+def _entropy_check(n, delta):
+    ec = bounds.entropy_binom_check(n, delta)
+    return "holds" if ec.holds else "violated", None, {
+        "binomial": ec.binomial, "entropy_exponent": ec.entropy_exponent, "bound": _finite(ec.bound)}
 
 
-def _cmd_bounds_expectation_upper(args) -> dict:
-    params = {"m": args.m, "cap": args.cap}
-    eb = bounds.expectation_upper(args.m, args.cap)
-    return _record(
-        "bounds-expectation-upper", params, eb.value,
-        t=eb.t, k=eb.k, in_regime=eb.in_regime,
-    )
+def _moments(m, n, r_max, trials, seed):
+    rep = montecarlo.moments(m, n, r_max, trials, seed)
+    rows = [("mean", 1, rep.mu, None)]
+    rows += [("central", r, rep.central[r], rep.central_targets[r]) for r in sorted(rep.central)]
+    rows += [("raw", r, rep.raw[r], rep.raw_targets[r]) for r in sorted(rep.raw)]
+    return [{"kind": kind, "r": r, "estimate": est.mean, "std_error": est.std_error, "target": target}
+            for kind, r, est, target in rows], None, {"seed": seed, "trials": trials, "caveat": rep.caveat}
 
 
-def _cmd_bounds_block_lower(args) -> dict:
-    params = {"m": args.m, "n": args.n, "k": args.k}
-    v = bounds.block_lower_bound(args.m, args.n, args.k)
-    return _record("bounds-block-lower", params, v, blocks=args.n // args.k)
+def _obs1(m, n, k, trials, seed):
+    rep = montecarlo.check_observation1(m, n, k, trials, seed)
+    return [rep.freq_tail, rep.freq_complete], rep.pooled_se, {
+        "seed": seed, "trials": trials, "gap_in_se": rep.gap_in_se, "exact": str(rep.exact)}
 
 
-def _cmd_bounds_gv_code(args) -> dict:
-    params = {"m": args.m, "n": args.n, "delta": args.delta, "cap": args.cap}
-    cb = bounds.greedy_code(args.m, args.n, args.delta, cap=args.cap)
-    gv = bounds.gv_size_bound(args.m, args.n, args.delta)
-    return _record(
-        "bounds-gv-code", params, cb.size,
-        gv_bound=str(gv), gv_bound_float=float(gv),
-        meets_gv=cb.size >= gv, min_distance=args.delta,
-    )
+def _obs2(m, n, pattern, trials, seed):
+    rep = montecarlo.check_observation2(m, n, tuple(pattern), trials, seed)
+    return [rep.freq_multiset, rep.freq_labeled], rep.pooled_se, {
+        "seed": seed, "trials": trials, "gap_in_se": rep.gap_in_se}
 
 
-def _cmd_bounds_completion_lower(args) -> dict:
-    params = {"m": args.m, "n": args.n, "t_size": args.t_size, "delta": args.delta}
-    v = bounds.completion_lower(args.m, args.n, args.t_size, args.delta)
-    return _record("bounds-completion-lower", params, str(v), approx=float(v))
-
-
-def _cmd_bounds_factorial_threshold(args) -> dict:
-    params = {"m": args.m, "t": args.t, "c": args.c}
-    ft = bounds.factorial_threshold(args.m, args.t, args.c)
-    return _record(
-        "bounds-factorial-threshold", params, ft.k,
-        c_adjusted=ft.c_adjusted, lower_ok=ft.lower_ok,
-        upper_asserted=ft.upper_asserted, upper_ok=ft.upper_ok,
-    )
-
-
-def _cmd_bounds_lower_cont(args) -> dict:
-    params = {"m": args.m, "n": args.n}
-    al = bounds.lower_cont_asymptotic(args.m, args.n)
-    plain = al.value if math.isfinite(al.value) else str(al.value)
-    return _record(
-        "bounds-lower-cont", params, al.log_value,
-        value=plain, domain_ok=al.domain_ok,
-    )
-
-
-def _cmd_bounds_entropy_check(args) -> dict:
-    params = {"n": args.n, "delta": args.delta}
-    ec = bounds.entropy_binom_check(args.n, args.delta)
-    return _record(
-        "bounds-entropy-check", params, "holds" if ec.holds else "violated",
-        binomial=ec.binomial, entropy_exponent=ec.entropy_exponent,
-        bound=ec.bound if math.isfinite(ec.bound) else str(ec.bound),
-    )
-
-
-def _cmd_mc_scalar(args, name: str, fn) -> dict:
-    seed, cacheable = _resolve_seed(args)
-    params = {"m": args.m, "n": args.n, "trials": args.trials, "seed": seed}
-
-    def compute():
-        est = fn(args.m, args.n, args.trials, seed)
-        return _record(
-            name, params, est.mean, stderr=est.std_error,
-            seed=seed, trials=args.trials, ci95=list(est.ci95),
-        )
-
-    return _run(name, params, compute, cacheable)
-
-
-def _cmd_mc_moments(args) -> dict:
-    seed, cacheable = _resolve_seed(args)
-    params = {"m": args.m, "n": args.n, "r_max": args.r_max, "trials": args.trials, "seed": seed}
-
-    def compute():
-        rep = montecarlo.moments(args.m, args.n, args.r_max, args.trials, seed)
-        rows = [{
-            "kind": "mean", "r": 1,
-            "estimate": rep.mu.mean, "std_error": rep.mu.std_error, "target": None,
-        }]
-        for r in sorted(rep.central):
-            rows.append({
-                "kind": "central", "r": r,
-                "estimate": rep.central[r].mean, "std_error": rep.central[r].std_error,
-                "target": rep.central_targets[r],
-            })
-        for r in sorted(rep.raw):
-            rows.append({
-                "kind": "raw", "r": r,
-                "estimate": rep.raw[r].mean, "std_error": rep.raw[r].std_error,
-                "target": rep.raw_targets[r],
-            })
-        return _record(
-            "mc-moments", params, rows,
-            seed=seed, trials=args.trials, caveat=rep.caveat,
-        )
-
-    return _run("mc-moments", params, compute, cacheable)
-
-
-def _cmd_mc_obs1(args) -> dict:
-    seed, cacheable = _resolve_seed(args)
-    params = {"m": args.m, "n": args.n, "k": args.k, "trials": args.trials, "seed": seed}
-
-    def compute():
-        rep = montecarlo.check_observation1(args.m, args.n, args.k, args.trials, seed)
-        return _record(
-            "mc-obs1", params, [rep.freq_tail, rep.freq_complete],
-            stderr=rep.pooled_se,
-            seed=seed, trials=args.trials,
-            gap_in_se=rep.gap_in_se, exact=str(rep.exact),
-        )
-
-    return _run("mc-obs1", params, compute, cacheable)
-
-
-def _cmd_mc_obs2(args) -> dict:
-    seed, cacheable = _resolve_seed(args)
-    try:
-        pattern = tuple(int(tok) for tok in args.pattern.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"--pattern must be comma-separated integers, got {args.pattern!r}")
-    params = {"m": args.m, "n": args.n, "pattern": list(pattern), "trials": args.trials, "seed": seed}
-
-    def compute():
-        rep = montecarlo.check_observation2(args.m, args.n, pattern, args.trials, seed)
-        return _record(
-            "mc-obs2", params, [rep.freq_multiset, rep.freq_labeled],
-            stderr=rep.pooled_se,
-            seed=seed, trials=args.trials, gap_in_se=rep.gap_in_se,
-        )
-
-    return _run("mc-obs2", params, compute, cacheable)
-
-
-def _cmd_cardgame(args) -> dict:
-    seed, cacheable = _resolve_seed(args)
-    params = {"strategy": args.strategy, "m": args.m, "n": args.n, "trials": args.trials, "seed": seed}
-
-    def compute():
-        est = cardgame.expected_score(args.m, args.n, args.strategy, args.trials, seed)
-        return _record(
-            "cardgame", params, est.mean, stderr=est.std_error,
-            seed=seed, trials=args.trials, ci95=list(est.ci95),
-        )
-
-    return _run("cardgame", params, compute, cacheable)
-
-
-def _cmd_verify_all(args) -> dict:
+def _verify_all(level):
     from . import acceptance  # imported lazily; acceptance drives this CLI in-process
 
-    results = acceptance.run_all(level=args.level)
-    rows = [{
-        "id": r.cid, "name": r.name, "passed": r.passed,
-        "seconds": round(r.seconds, 2), "detail": r.detail,
-    } for r in results]
+    results = acceptance.run_all(level=level)
+    rows = [{"id": r.cid, "name": r.name, "passed": r.passed,
+             "seconds": round(r.seconds, 2), "detail": r.detail} for r in results]
     failed = [r.cid for r in results if not r.passed]
-    return _record(
-        "verify-all", {"level": args.level}, rows,
-        level=args.level, passed=len(results) - len(failed), failed=failed,
-    )
+    return rows, None, {"level": level, "passed": len(results) - len(failed), "failed": failed}
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+_M, _N, _K, _DELTA, _BITS = _arg("--m"), _arg("--n"), _arg("--k"), _arg("--delta"), _arg("--bits", default=128)
+_MC = (_arg("--m", help="copies per value"), _arg("--n", help="number of values"))
+_TRIALS_SEED = (_arg("--trials"),
+                _arg("--seed", default=None, help="RNG seed; omit for fresh entropy (result then not cached)"))
+_GROUPS = {"bounds": ("combinatorial bounds", "BOUND"), "mc": ("seeded Monte Carlo estimators", "ESTIMATOR")}
+
+COMMANDS = (
+    Command(("l1-exact",), "series value of the limiting expected run length",
+            (_M, _arg("--eps", float, default=1e-12), _arg("--max-n", default=400)),
+            lambda m, eps, max_n: _fields(exact.l1_series(m, eps=eps, max_n=max_n),
+                                          "value", "terms_used", "truncation_bound", engine="gf"), True),
+    Command(("l1-closed",), "closed form over zeros of the truncated exponential", (_M, _BITS),
+            lambda m, bits: _fields(spectral.l1_closed_form(m, precision_bits=bits),
+                                    "value", "imag_residue", "value_str", bits=bits), True),
+    Command(("l1-approx",), "two-term approximation m+1-1/(m+2)", (_M,),
+            lambda m: (spectral.approx_l1(m), None, {}), False),
+    Command(("prob-complete",), "exact probability of a complete run",
+            (_M, _N, _arg("--engine", None, choices=("hk", "gf", "brute"), default="gf")),
+            lambda m, n, engine: _fraction(exact.complete_prob(m, n, engine=engine), engine=engine), True),
+    Command(("roots",), "certified zeros of the truncated exponential",
+            (_M, _BITS, _arg("--check-power-sums", None, action="store_true", default=False)), _roots, True),
+    Command(("recip-series",), "series coefficients of sum of reciprocal zeros",
+            (_M, _arg("--k", help="highest coefficient index")), _recip_series, True),
+    Command(("invgamma",), "inverse of the gamma function on [2, inf)", (_arg("--y", float),),
+            lambda y: (bounds.inverse_gamma(y), None, {}), False),
+    Command(("bounds", "tail"), "union bound on Pr[L >= k] for a word family",
+            (_arg("--family", None, choices=("continuous", "ap")), _N, _M, _K),
+            lambda family, n, m, k: _fraction(bounds.tail_bound(
+                bounds.continuous_runs(n) if family == "continuous" else bounds.arithmetic_progressions(n),
+                m, k)), False),
+    Command(("bounds", "expectation-upper"), "cap on E[run length] from a family size cap",
+            (_M, _arg("--cap", help="family size cap (>= 2)")),
+            lambda m, cap: _fields(bounds.expectation_upper(m, cap), "value", "t", "k", "in_regime"), False),
+    Command(("bounds", "block-lower"), "completion floor from independent blocks",
+            (_M, _N, _arg("--k", help="block length")),
+            lambda m, n, k: (bounds.block_lower_bound(m, n, k), None, {"blocks": n // k}), False),
+    Command(("bounds", "gv-code"), "greedy code meeting the Gilbert-Varshamov size",
+            (_M, _N, _DELTA, _arg("--cap", default=10**6, help="largest m^n the sieve will touch")),
+            _gv_code, False),
+    Command(("bounds", "completion-lower"), "inclusion-exclusion floor from a distance-delta code",
+            (_M, _N, _arg("--t-size", help="code size"), _DELTA),
+            lambda m, n, t_size, delta: _fraction(bounds.completion_lower(m, n, t_size, delta)), False),
+    Command(("bounds", "factorial-threshold"), "k! vs t! m^(Ct) growth check",
+            (_M, _arg("--t"), _arg("--c", float)),
+            lambda m, t, c: _fields(bounds.factorial_threshold(m, t, c), "k",
+                                    "c_adjusted", "lower_ok", "upper_asserted", "upper_ok"), False),
+    Command(("bounds", "lower-cont"), "asymptotic completion floor in log space", (_M, _N),
+            lambda m, n: _fields(bounds.lower_cont_asymptotic(m, n), "log_value", "value", "domain_ok"), False),
+    Command(("bounds", "entropy-check"), "binomial vs binary-entropy cap", (_N, _DELTA), _entropy_check, False),
+    *(Command(("mc", name), None, (*_MC, *_TRIALS_SEED),
+              lambda m, n, trials, seed, fn=fn: _estimate(fn(m, n, trials, seed), trials, seed), True)
+      for name, fn in (("l1", montecarlo.estimate_l1), ("lmax", montecarlo.estimate_lmax),
+                       ("lis", montecarlo.estimate_lis))),
+    Command(("mc", "moments"), "central and raw moments against conjectured targets",
+            (*_MC, _arg("--r-max", default=4), *_TRIALS_SEED), _moments, True),
+    Command(("mc", "obs1"), "tail probability vs completion probability", (*_MC, _K, *_TRIALS_SEED), _obs1, True),
+    Command(("mc", "obs2"), "multiset sampler vs labeled-card sampler",
+            (*_MC, _arg("--pattern", None, help="comma-separated values, e.g. 2,4"), *_TRIALS_SEED),
+            _obs2, True),
+    Command(("cardgame",), "expected score under a guessing strategy",
+            (_arg("--strategy", None, choices=cardgame.STRATEGIES), *_MC, *_TRIALS_SEED),
+            lambda strategy, m, n, trials, seed: _estimate(
+                cardgame.expected_score(m, n, strategy, trials, seed), trials, seed), True),
+    Command(("verify-all",), "run the acceptance suite",
+            (_arg("--level", None, choices=("quick", "full"), default="full"),), _verify_all, False),
+)
+
+
+def _execute(cmd: Command, args) -> dict:
+    """The driver: params from the parsed options, then the record, from the cache when allowed."""
+    params = {dest: getattr(args, dest) for dest, _, _ in cmd.args}
+    cacheable = cmd.cacheable
+    if "seed" in params and params["seed"] is None:
+        # no --seed: fresh entropy, and the run is not cacheable
+        params["seed"], cacheable = secrets.randbits(63), False
+    if "pattern" in params:
+        try:
+            params["pattern"] = [int(tok) for tok in args.pattern.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"--pattern must be comma-separated integers, got {args.pattern!r}")
+    quantity = "-".join(cmd.path)
+    if cacheable and (hit := cache_get(quantity, params, __version__)) is not None:
+        hit.setdefault("meta", {})["cached"] = True
+        return hit
+    value, stderr, meta = cmd.compute(**params)
+    rec = {"schema": 1, "quantity": quantity, "params": params, "value": value}
+    if stderr is not None:
+        rec["stderr"] = stderr
+    timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    rec["meta"] = {"version": __version__, "cached": False, "timestamp": timestamp,
+                   **{k: v for k, v in meta.items() if v is not None}}
+    if cacheable:
+        cache_put(quantity, params, __version__, rec)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -343,263 +238,102 @@ def _cell(v):
     return "" if v is None else v
 
 
-def _csv_text(rec: dict) -> str:
-    q = rec["quantity"]
+def _csv_rows(rec: dict) -> list[dict]:
+    q, value, meta = rec["quantity"], rec["value"], rec["meta"]
     if q in ("mc-moments", "verify-all"):
-        rows = rec["value"]
-        fields = list(rows[0].keys())
-    elif q == "roots":
-        rows = [{"index": i, "re": p[0], "im": p[1]} for i, p in enumerate(rec["value"], 1)]
-        fields = ["index", "re", "im"]
-    elif q == "recip-series":
-        floats = rec["meta"].get("float_values", [])
-        rows = [{"k": i, "coefficient": c, "value": floats[i] if i < len(floats) else ""}
-                for i, c in enumerate(rec["value"])]
-        fields = ["k", "coefficient", "value"]
-    elif q in ("mc-obs1", "mc-obs2"):
+        return value
+    if q == "roots":
+        return [{"index": i, "re": re_, "im": im_} for i, (re_, im_) in enumerate(value, 1)]
+    if q == "recip-series":
+        floats = meta.get("float_values", [])
+        return [{"k": i, "coefficient": c, "value": floats[i] if i < len(floats) else ""}
+                for i, c in enumerate(value)]
+    row = {"quantity": q, **rec["params"]}
+    if q in ("mc-obs1", "mc-obs2"):
         names = ("freq_tail", "freq_complete") if q == "mc-obs1" else ("freq_multiset", "freq_labeled")
-        rows = [{
-            "quantity": q, **rec["params"],
-            names[0]: rec["value"][0], names[1]: rec["value"][1],
-            "pooled_se": rec.get("stderr"), "gap_in_se": rec["meta"].get("gap_in_se"),
-        }]
-        fields = list(rows[0].keys())
-    else:
-        row = {"quantity": q, **rec["params"], "value": rec["value"]}
-        if "stderr" in rec:
-            row["stderr"] = rec["stderr"]
-        rows = [row]
-        fields = list(row.keys())
+        return [{**row, names[0]: value[0], names[1]: value[1],
+                 "pooled_se": rec.get("stderr"), "gap_in_se": meta.get("gap_in_se")}]
+    row["value"] = value
+    if "stderr" in rec:
+        row["stderr"] = rec["stderr"]
+    return [row]
+
+
+def _csv_text(rec: dict) -> str:
+    rows = _csv_rows(rec)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _cell(v) for k, v in row.items()})
+    writer.writerows({k: _cell(v) for k, v in row.items()} for row in rows)
     return buf.getvalue().rstrip("\n")
 
 
 def _plain_text(rec: dict) -> str:
-    q = rec["quantity"]
-    params = rec["params"]
-    head = ", ".join(f"{k}={v}" for k, v in params.items())
+    q, value, meta = rec["quantity"], rec["value"], rec["meta"]
+    head = ", ".join(f"{k}={v}" for k, v in rec["params"].items())
     if q == "verify-all":
-        lines = []
-        for row in rec["value"]:
-            status = "PASS" if row["passed"] else "FAIL"
-            lines.append(f"[{row['id']:>2}] {status}  {row['name']} ({row['seconds']}s): {row['detail']}")
-        failed = rec["meta"]["failed"]
-        tally = f"{rec['meta']['passed']}/{len(rec['value'])} criteria passed"
-        if failed:
-            tally += f"; failed: {failed}"
-        lines.append(tally)
-        return "\n".join(lines)
+        lines = [f"[{r['id']:>2}] {'PASS' if r['passed'] else 'FAIL'}  {r['name']} ({r['seconds']}s): {r['detail']}"
+                 for r in value]
+        tally = f"{meta['passed']}/{len(value)} criteria passed"
+        return "\n".join([*lines, tally + (f"; failed: {meta['failed']}" if meta["failed"] else "")])
     if q == "mc-moments":
         lines = [f"moments({head}):",
                  f"  {'kind':<8}{'r':>2}  {'estimate':>14}  {'std_error':>12}  {'target':>14}"]
-        for row in rec["value"]:
-            tgt = "" if row["target"] is None else f"{row['target']:.6g}"
-            lines.append(f"  {row['kind']:<8}{row['r']:>2}  {row['estimate']:>14.6g}"
-                         f"  {row['std_error']:>12.3g}  {tgt:>14}")
-        lines.append(f"  note: {rec['meta']['caveat']}")
-        return "\n".join(lines)
+        for r in value:
+            tgt = "" if r["target"] is None else f"{r['target']:.6g}"
+            lines.append(f"  {r['kind']:<8}{r['r']:>2}  {r['estimate']:>14.6g}  {r['std_error']:>12.3g}  {tgt:>14}")
+        return "\n".join([*lines, f"  note: {meta['caveat']}"])
     if q == "roots":
-        lines = [f"roots({head}):"]
-        for i, (re_, im_) in enumerate(rec["value"], 1):
-            lines.append(f"  alpha_{i} = {re_:+.12f} {im_:+.12f}i")
-        dev = rec["meta"].get("power_sum_max_deviation")
-        if dev is not None:
-            lines.append(f"  power sums max deviation = {dev:.3g}")
+        lines = [f"roots({head}):", *(f"  alpha_{i} = {re_:+.12f} {im_:+.12f}i"
+                                      for i, (re_, im_) in enumerate(value, 1))]
+        if "power_sum_max_deviation" in meta:
+            lines.append(f"  power sums max deviation = {meta['power_sum_max_deviation']:.3g}")
         return "\n".join(lines)
     if q == "recip-series":
         lines = [f"recip-series({head}):"]
-        floats = rec["meta"].get("float_values", [])
-        for i, c in enumerate(rec["value"]):
-            approx = f"  ({floats[i]:.6g})" if i < len(floats) else ""
-            lines.append(f"  c_{i} = {c}{approx}")
-        lines.append(f"  within envelope: {rec['meta'].get('within_envelope')}")
-        return "\n".join(lines)
-    body = f"{q}({head}) = {rec['value']}"
+        floats = meta.get("float_values", [])
+        for i, c in enumerate(value):
+            lines.append(f"  c_{i} = {c}" + (f"  ({floats[i]:.6g})" if i < len(floats) else ""))
+        return "\n".join([*lines, f"  within envelope: {meta.get('within_envelope')}"])
+    body = f"{q}({head}) = {value}"
     if "stderr" in rec:
         body += f" +- {rec['stderr']:.4g}"
-    if rec["meta"].get("cached"):
-        body += "  [cached]"
-    return body
+    return body + ("  [cached]" if meta.get("cached") else "")
 
 
-def _render(rec: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(rec, indent=2, sort_keys=True)
-    if fmt == "csv":
-        return _csv_text(rec)
-    return _plain_text(rec)
-
-
-# ---------------------------------------------------------------------------
-# parser
-
-
-def _add_mc_args(p, n_default=None):
-    p.add_argument("--m", type=int, required=True, help="copies per value")
-    if n_default is None:
-        p.add_argument("--n", type=int, required=True, help="number of values")
-    else:
-        p.add_argument("--n", type=int, default=n_default)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed; omit for fresh entropy (result then not cached)")
+_RENDER = {"json": lambda rec: json.dumps(rec, indent=2, sort_keys=True), "csv": _csv_text, "plain": _plain_text}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cis",
-        description="compute, bound, and simulate run statistics of random multiset permutations",
-    )
+        prog="cis", description="compute, bound, and simulate run statistics of random multiset permutations")
     parser.add_argument("--version", action="version", version=f"cis {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+    common.add_argument("--format", choices=tuple(_RENDER), default="json")
     common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-
-    p = sub.add_parser("l1-exact", parents=[common], help="series value of the limiting expected run length")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.add_argument("--max-n", type=int, default=400)
-    p.set_defaults(handler=_cmd_l1_exact)
-
-    p = sub.add_parser("l1-closed", parents=[common], help="closed form over zeros of the truncated exponential")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bits", type=int, default=128)
-    p.set_defaults(handler=_cmd_l1_closed)
-
-    p = sub.add_parser("l1-approx", parents=[common], help="two-term approximation m+1-1/(m+2)")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_l1_approx)
-
-    p = sub.add_parser("prob-complete", parents=[common], help="exact probability of a complete run")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--engine", choices=("hk", "gf", "brute"), default="gf")
-    p.set_defaults(handler=_cmd_prob_complete)
-
-    p = sub.add_parser("roots", parents=[common], help="certified zeros of the truncated exponential")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--bits", type=int, default=128)
-    p.add_argument("--check-power-sums", action="store_true")
-    p.set_defaults(handler=_cmd_roots)
-
-    p = sub.add_parser("recip-series", parents=[common], help="series coefficients of sum of reciprocal zeros")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="highest coefficient index")
-    p.set_defaults(handler=_cmd_recip_series)
-
-    p = sub.add_parser("invgamma", parents=[common], help="inverse of the gamma function on [2, inf)")
-    p.add_argument("--y", type=float, required=True)
-    p.set_defaults(handler=_cmd_invgamma)
-
-    b = sub.add_parser("bounds", help="combinatorial bounds")
-    bsub = b.add_subparsers(dest="bounds_command", required=True, metavar="BOUND")
-
-    p = bsub.add_parser("tail", parents=[common], help="union bound on Pr[L >= k] for a word family")
-    p.add_argument("--family", choices=("continuous", "ap"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounds_tail)
-
-    p = bsub.add_parser("expectation-upper", parents=[common], help="cap on E[run length] from a family size cap")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True, help="family size cap (>= 2)")
-    p.set_defaults(handler=_cmd_bounds_expectation_upper)
-
-    p = bsub.add_parser("block-lower", parents=[common], help="completion floor from independent blocks")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True, help="block length")
-    p.set_defaults(handler=_cmd_bounds_block_lower)
-
-    p = bsub.add_parser("gv-code", parents=[common], help="greedy code meeting the Gilbert-Varshamov size")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6, help="largest m^n the sieve will touch")
-    p.set_defaults(handler=_cmd_bounds_gv_code)
-
-    p = bsub.add_parser("completion-lower", parents=[common], help="inclusion-exclusion floor from a distance-delta code")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-size", type=int, required=True, help="code size")
-    p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounds_completion_lower)
-
-    p = bsub.add_parser("factorial-threshold", parents=[common], help="k! vs t! m^(Ct) growth check")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.set_defaults(handler=_cmd_bounds_factorial_threshold)
-
-    p = bsub.add_parser("lower-cont", parents=[common], help="asymptotic completion floor in log space")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounds_lower_cont)
-
-    p = bsub.add_parser("entropy-check", parents=[common], help="binomial vs binary-entropy cap")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounds_entropy_check)
-
-    mc = sub.add_parser("mc", help="seeded Monte Carlo estimators")
-    mcsub = mc.add_subparsers(dest="mc_command", required=True, metavar="ESTIMATOR")
-
-    for name, fn in (("l1", montecarlo.estimate_l1),
-                     ("lmax", montecarlo.estimate_lmax),
-                     ("lis", montecarlo.estimate_lis)):
-        p = mcsub.add_parser(name, parents=[common])
-        _add_mc_args(p)
-        p.set_defaults(handler=partial(_cmd_mc_scalar, name=f"mc-{name}", fn=fn))
-
-    p = mcsub.add_parser("moments", parents=[common], help="central and raw moments against conjectured targets")
-    _add_mc_args(p)
-    p.add_argument("--r-max", type=int, default=4)
-    p.set_defaults(handler=_cmd_mc_moments)
-
-    p = mcsub.add_parser("obs1", parents=[common], help="tail probability vs completion probability")
-    _add_mc_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_mc_obs1)
-
-    p = mcsub.add_parser("obs2", parents=[common], help="multiset sampler vs labeled-card sampler")
-    _add_mc_args(p)
-    p.add_argument("--pattern", required=True, help="comma-separated values, e.g. 2,4")
-    p.set_defaults(handler=_cmd_mc_obs2)
-
-    p = sub.add_parser("cardgame", parents=[common], help="expected score under a guessing strategy")
-    p.add_argument("--strategy", choices=cardgame.STRATEGIES, required=True)
-    _add_mc_args(p)
-    p.set_defaults(handler=_cmd_cardgame)
-
-    p = sub.add_parser("verify-all", parents=[common], help="run the acceptance suite")
-    p.add_argument("--level", choices=("quick", "full"), default="full")
-    p.set_defaults(handler=_cmd_verify_all)
-
+    subs = {(): parser.add_subparsers(dest="command", required=True, metavar="COMMAND")}
+    for cmd in COMMANDS:
+        group = cmd.path[:-1]
+        if group not in subs:
+            help_, metavar = _GROUPS[group[0]]
+            subs[group] = subs[()].add_parser(group[0], help=help_).add_subparsers(
+                dest=f"{group[0]}_command", required=True, metavar=metavar)
+        p = subs[group].add_parser(cmd.path[-1], parents=[common], help=cmd.help)
+        for _, flag, kw in cmd.args:
+            p.add_argument(flag, **kw)
+        p.set_defaults(cmd=cmd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        rec = args.handler(args)
-    except SpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = _render(rec, args.format)
+        rec = _execute(args.cmd, args)
+        text = _RENDER[args.format](rec)
+    except Exception as exc:
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
+        print(f"{'error' if code != 5 else 'internal error: ' + type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
     if args.out:
         try:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -608,9 +342,7 @@ def main(argv=None) -> int:
             return 2
     else:
         print(text)
-    if rec["quantity"] == "verify-all" and rec["meta"]["failed"]:
-        return 1
-    return 0
+    return 1 if rec["quantity"] == "verify-all" and rec["meta"]["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -31,12 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DomainError, InternalInconsistency, NoConvergence
+from .errors import DomainError, InternalInconsistency, NoConvergence, SpaceTooLarge
 from .words import count_complete_bruteforce, multiset_count
 
 WeakComposition = tuple[int, ...]
 
 _FACT: list[int] = [1]
+
+# most weak compositions horton_kurn_h will enumerate, at a few microseconds each
+COMPOSITION_CAP = 10**6
 
 
 def _fact(k: int) -> int:
@@ -133,10 +136,15 @@ def horton_kurn_h(m: int, n: int) -> int:
     Sums the alternating composition formula with every term scaled by
     ((m-1)!)^n so the accumulation is pure integer arithmetic; the final
     division must be exact, otherwise the formula was evaluated wrongly
-    and InternalInconsistency is raised.
+    and InternalInconsistency is raised.  Raises SpaceTooLarge when there
+    are more than COMPOSITION_CAP weak compositions to sum over.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if math.comb(n + m - 1, m - 1) > COMPOSITION_CAP:
+        raise SpaceTooLarge(
+            f"h_{m}({n}) sums over C({n + m - 1}, {m - 1}) weak compositions, more than {COMPOSITION_CAP}"
+        )
     mn = m * n
     fact_mn = _fact(mn)
     # r_j = (m-1)!/(m-j)! is an integer for j = 1..m
@@ -266,8 +274,8 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
     would re-enumerate weak compositions for every n.  Both engines yield
     identical rationals, so the choice affects runtime only.
     """
-    if eps <= 0:
-        raise DomainError(f"need eps > 0, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"need a finite eps > 0, got {eps}")
     if engine not in ("gf", "hk", "brute"):
         raise DomainError(f"unknown engine {engine!r}")
     eps_frac = Fraction(eps)

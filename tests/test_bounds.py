@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cis import bounds
 from cis import (
     DomainError,
     SpaceTooLarge,
@@ -128,6 +129,22 @@ def test_factorial_threshold_examples():
     assert unit.k == 7
     assert unit.c_adjusted == 0.3
     assert unit.lower_ok
+
+
+def test_factorial_threshold_rejects_bad_and_oversized_c(monkeypatch):
+    for c in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="finite C"):
+            factorial_threshold(2, 10, c)
+    # k grows like C t log m / log t: C = 1e300 used to overflow, C = 1e5 ran for seconds
+    for m, t, c in ((2, 10, 1e300), (2, 10, 1e5), (2, 10**400, 0.5), (1, 10**5 + 1, 0.5)):
+        with pytest.raises(SpaceTooLarge):
+            factorial_threshold(m, t, c)
+    # the cap bounds k itself: (3, 10, 2.0) has k = 20
+    monkeypatch.setattr(bounds, "FACTORIAL_K_CAP", 20)
+    assert factorial_threshold(3, 10, 2.0).k == 20
+    monkeypatch.setattr(bounds, "FACTORIAL_K_CAP", 19)
+    with pytest.raises(SpaceTooLarge):
+        factorial_threshold(3, 10, 2.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: records, caching, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -146,3 +147,41 @@ def test_roots_power_sum_check(run_cli):
     assert len(rec["value"]) == 3
     assert rec["meta"]["power_sums_ok"] is True
     assert rec["meta"]["power_sum_max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ("l1-exact", "--m", "2", "--eps", "inf"),
+    ("l1-exact", "--m", "2", "--eps", "nan"),
+    ("bounds", "factorial-threshold", "--m", "2", "--t", "10", "--c", "inf"),
+])
+def test_non_finite_float_arguments_exit_2(run_cli, capsys, argv):
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need a finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "factorial-threshold", "--m", "2", "--t", "10", "--c", "1e300"),
+    ("bounds", "factorial-threshold", "--m", "2", "--t", "10", "--c", "1e5"),
+    ("prob-complete", "--m", "20", "--n", "30", "--engine", "hk"),
+    ("bounds", "block-lower", "--m", "200", "--n", "400", "--k", "200"),
+])
+def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unexpected_exception_exits_5_without_traceback(run_cli, capsys, monkeypatch):
+    def boom(m):
+        raise RuntimeError("boom")
+
+    stubbed = tuple(c._replace(compute=boom) if c.path == ("l1-approx",) else c for c in cli.COMMANDS)
+    monkeypatch.setattr(cli, "COMMANDS", stubbed)
+    code, out = run_cli("l1-approx", "--m", "2")
+    assert (code, out) == (5, "")
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

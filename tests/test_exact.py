@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cis import (
     DomainError,
     NoConvergence,
+    SpaceTooLarge,
     complete_prob,
     count_complete_bruteforce,
     horton_kurn_h,
@@ -21,6 +22,7 @@ from cis import (
     phi_inverse,
     q_poly,
 )
+from cis import exact
 from cis.exact import Poly
 
 
@@ -87,6 +89,23 @@ def test_engine_validation():
         complete_prob(0, 2)
     with pytest.raises(DomainError):
         l1_series(2, eps=0.0)
+    for eps in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="finite eps"):
+            l1_series(2, eps=eps)
+
+
+def test_horton_kurn_h_caps_its_compositions(monkeypatch):
+    # (6, 30) sums over C(35, 5) = 324,632 compositions; C(49, 19) is far past the cap
+    with pytest.raises(SpaceTooLarge):
+        horton_kurn_h(20, 30)
+    with pytest.raises(SpaceTooLarge):
+        complete_prob(200, 200, engine="hk")
+    # the cap is checked on the count itself: h_3(3) sums over C(3 + 3 - 1, 2) = 10 compositions
+    monkeypatch.setattr(exact, "COMPOSITION_CAP", 10)
+    assert horton_kurn_h(3, 3) == count_complete_bruteforce(3, 3)
+    monkeypatch.setattr(exact, "COMPOSITION_CAP", 9)
+    with pytest.raises(SpaceTooLarge):
+        horton_kurn_h(3, 3)
 
 
 def test_series_m1_matches_e_minus_one():
