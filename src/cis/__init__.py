@@ -31,7 +31,6 @@ from .words import (
     sample_uniform,
 )
 from .exact import (
-    Poly,
     SeriesResult,
     complete_prob,
     horton_kurn_h,

@@ -19,7 +19,9 @@ import time
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import count
+
+import numpy as np
 
 from . import bounds, cardgame, exact, montecarlo, spectral, words
 from .errors import DomainError
@@ -124,21 +126,27 @@ def _lmax_histogram(m: int, n: int) -> list[int]:
 
 
 def _min_distance_ok(code: bounds.CodeBook, m: int, n: int, delta: int) -> bool:
-    """Independent distance check: no codeword in another's radius delta-1 ball."""
+    """Independent distance check: every pair of codewords, compared position by position.
+
+    A pair agrees in n - d positions when its Hamming distance is d.  With
+    each word one-hot encoded per position, the agreements of a block of
+    words against all later words are one matrix product, so duplicates
+    (n agreements) fail as well.  At delta = 1 the condition is that the
+    words are distinct, checked directly.
+    """
     if delta == 1:
         return len(set(code.words)) == len(code.words)
-    members = set(code.words)
-    for w in code.words:
-        base = list(w)
-        for dist in range(1, delta):
-            for pos in combinations(range(n), dist):
-                choices = [[a for a in range(1, m + 1) if a != base[j]] for j in pos]
-                for repl in product(*choices):
-                    cand = base.copy()
-                    for j, a in zip(pos, repl):
-                        cand[j] = a
-                    if tuple(cand) in members:
-                        return False
+    w = np.asarray(code.words, dtype=np.int64) - 1
+    size = len(w)
+    onehot = np.zeros((size, n * m), dtype=np.float32)  # agreement counts <= n are exact
+    onehot[np.arange(size)[:, None], np.arange(n) * m + w] = 1.0
+    step = max(1, (1 << 20) // size)  # about 4 MB of agreements per block
+    for i in range(0, size, step):
+        agree = onehot[i:i + step] @ onehot[i:].T
+        rows = np.arange(len(agree))
+        agree[rows, rows] = -1  # a word against itself
+        if agree.max() > n - delta:
+            return False
     return True
 
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
+import numpy as np
+
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
 
@@ -96,14 +98,32 @@ def gv_size_bound(m: int, n: int, delta: int) -> Fraction:
     return Fraction(m**n, delta * math.comb(n, delta) * (m - 1) ** delta)
 
 
+def _ball_shifts(m: int, n: int, radius: int) -> np.ndarray:
+    """Digit shifts of the punctured radius-`radius` Hamming ball, one row per neighbour.
+
+    Row entries are in [0, m); a word's neighbour is (digits + row) mod m.
+    Every set of 1..radius positions gets every non-zero shift on each.
+    """
+    rows = []
+    for dist in range(1, radius + 1):
+        for pos in combinations(range(n), dist):
+            for shift in product(range(1, m), repeat=dist):
+                row = [0] * n
+                for j, e in zip(pos, shift):
+                    row[j] = e
+                rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
 def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
     """Maximal packing with minimum distance delta, in lexicographic order.
 
     Admits a word iff it is at distance >= delta from everything admitted
-    before it.  Implemented as a sieve: each admission kills every word in
-    its radius-(delta - 1) ball, and every survivor of the left-to-right
-    sweep is admitted; the two formulations pick the same code.  The size
-    always meets gv_size_bound when delta <= n/2.
+    before it.  Implemented as a sieve over the m^n word indices: each
+    admission kills its radius-(delta - 1) ball with one scatter through a
+    shift table built once, and the next survivor is found by a C-level
+    search of the dead mask; the two formulations pick the same code.  The
+    size always meets gv_size_bound when delta <= n/2.
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
@@ -117,27 +137,19 @@ def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
         # distinct words always differ somewhere; the whole space packs
         return CodeBook(m, n, 1, tuple(product(range(1, m + 1), repeat=n)))
 
-    place = [m ** (n - 1 - j) for j in range(n)]
+    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    shifts = _ball_shifts(m, n, delta - 1)
     dead = bytearray(space)
-    admitted: list[tuple[int, ...]] = []
-    for idx in range(space):
-        if dead[idx]:
-            continue
-        digits = []
-        rem = idx
-        for p in place:
-            d, rem = divmod(rem, p)
-            digits.append(d)
-        admitted.append(tuple(d + 1 for d in digits))
-        for dist in range(1, delta):
-            for pos in combinations(range(n), dist):
-                moves = [
-                    [(alt - digits[j]) * place[j] for alt in range(m) if alt != digits[j]]
-                    for j in pos
-                ]
-                for offsets in product(*moves):
-                    dead[idx + sum(offsets)] = 1
-    return CodeBook(m, n, delta, tuple(admitted))
+    dead_view = np.frombuffer(dead, dtype=np.uint8)
+    admitted = []
+    idx = 0
+    while idx >= 0:
+        admitted.append(idx)
+        digits = idx // place % m
+        dead_view[(digits + shifts) % m @ place] = 1
+        idx = dead.find(0, idx + 1)
+    words = np.array(admitted, dtype=np.int64)[:, None] // place % m + 1
+    return CodeBook(m, n, delta, tuple(map(tuple, words.tolist())))
 
 
 def inverse_gamma(y: float) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -63,6 +64,10 @@ def _fields(obj, value: str, *names: str, **extra):
 
 
 def _fraction(f, **extra):
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(f.numerator), f.denominator) >= 10**limit:
+        raise SpaceTooLarge(f"the exact value has more than {limit} digits in its numerator or denominator, "
+                            "past the interpreter's integer string limit")
     return str(f), None, {**extra, "approx": float(f)}
 
 
@@ -304,7 +309,9 @@ def _plain_text(rec: dict) -> str:
 _RENDER = {"json": lambda rec: json.dumps(rec, indent=2, sort_keys=True), "csv": _csv_text, "plain": _plain_text}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="cis", description="compute, bound, and simulate run statistics of random multiset permutations")
     parser.add_argument("--version", action="version", version=f"cis {__version__}")
@@ -321,14 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = subs[group].add_parser(cmd.path[-1], parents=[common], help=cmd.help)
         for _, flag, kw in cmd.args:
             p.add_argument(flag, **kw)
-        p.set_defaults(cmd=cmd)
+        p.set_defaults(path=cmd.path)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rec = _execute(args.cmd, args)
+        # the row is looked up per call, so the one parser serves whatever COMMANDS holds
+        rec = _execute(next(c for c in COMMANDS if c.path == args.path), args)
         text = _RENDER[args.format](rec)
     except Exception as exc:
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)

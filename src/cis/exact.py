@@ -20,8 +20,15 @@ Both produce the same rational number, term by term, and
 
 converges to the limiting expected run length; each summand equals
 Pr[l1 >= n] at every word length that is at least n, which is why the
-series telescopes into an expectation.  All arithmetic stays in Fraction
-until a caller asks for floats.
+series telescopes into an expectation.
+
+The generating-function engine works in integers only.  q_m = -m x u_m
+with u_m(x) = sum_{k<m} (m-1)!/(m-1-k)! x^k, and the powers u_m^n follow a
+first-order recurrence in their coefficients (see _gf_powers), so each
+power costs one small multiplication and one exact small division per
+coefficient.  Phi(q_m^n)(-1) is a Horner sum over (mn)!, a series keeps
+its partial sum as one integer over (mn)!, and a Fraction is built only
+for the result.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistency, NoConvergence, SpaceTooLarge
@@ -37,78 +45,22 @@ from .words import count_complete_bruteforce, multiset_count
 WeakComposition = tuple[int, ...]
 
 _FACT: list[int] = [1]
+_FACT_MEMO = 1024  # _fact keeps k! for k below this; a memo up to 20000! would hold 350 MB
 
 # most weak compositions horton_kurn_h will enumerate, at a few microseconds each
 COMPOSITION_CAP = 10**6
+# highest degree n(m-1) of u_m^n that p_value and l1_finite_expectation build;
+# (m, n) = (2, 4000) takes about 8 s on one core
+GF_DEGREE_CAP = 4000
 
 
 def _fact(k: int) -> int:
-    """Factorial with a module-level memo table."""
+    """k!, from a module-level memo table for k below _FACT_MEMO."""
+    if k >= _FACT_MEMO:
+        return math.factorial(k)
     while len(_FACT) <= k:
         _FACT.append(_FACT[-1] * len(_FACT))
     return _FACT[k]
-
-
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return Poly(out)
-
-    def __pow__(self, n: int) -> "Poly":
-        # plain repeated multiplication; degrees here are small (<= mn)
-        if n < 0:
-            raise DomainError("negative polynomial powers are not defined here")
-        out = Poly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __call__(self, x):
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
 
 
 def weak_compositions(n: int, m: int) -> Iterator[WeakComposition]:
@@ -172,8 +124,8 @@ def horton_kurn_h(m: int, n: int) -> int:
     return h
 
 
-def q_poly(m: int) -> Poly:
-    """Building-block polynomial q_m(x) = -m! * sum_{j=1..m} x^j/(m-j)!.
+def q_poly(m: int) -> tuple[int, ...]:
+    """Coefficients of q_m(x) = -m! * sum_{j=1..m} x^j/(m-j)!, constant term first.
 
     Its n-th power, pushed through Phi and evaluated at -1, reproduces the
     complete-run probability for alphabet size n.  All coefficients are
@@ -181,20 +133,78 @@ def q_poly(m: int) -> Poly:
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
-    coeffs = [Fraction(0)] * (m + 1)
-    for j in range(1, m + 1):
-        coeffs[j] = Fraction(-(_fact(m) // _fact(m - j)))
-    return Poly(coeffs)
+    return (0, *(-(_fact(m) // _fact(m - j)) for j in range(1, m + 1)))
 
 
-def phi_apply(p: Poly) -> Poly:
-    """Linear map x^k -> x^k / k!, turning plain powers into exponential ones."""
-    return Poly([c / _fact(k) for k, c in enumerate(p.coeffs)])
+def phi_apply(coeffs) -> tuple[Fraction, ...]:
+    """Linear map x^k -> x^k / k! on coefficients, constant term first."""
+    return tuple(Fraction(c) / _fact(k) for k, c in enumerate(coeffs))
 
 
-def phi_inverse(p: Poly) -> Poly:
+def phi_inverse(coeffs) -> tuple[Fraction, ...]:
     """Inverse of phi_apply: x^k -> k! * x^k."""
-    return Poly([c * _fact(k) for k, c in enumerate(p.coeffs)])
+    return tuple(Fraction(c) * _fact(k) for k, c in enumerate(coeffs))
+
+
+def _check_degree(m: int, n: int) -> None:
+    if n * (m - 1) > GF_DEGREE_CAP:
+        raise SpaceTooLarge(
+            f"the gf engine at (m={m}, n={n}) needs degree {n * (m - 1)}, more than {GF_DEGREE_CAP}"
+        )
+
+
+def _gf_powers(m: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, coefficients of u_m^n) for n = 1, 2, ..., where q_m = -m x u_m.
+
+    u = u_m has coefficients u_k = (m-1)!/(m-1-k)! = (m-k) u_(k-1), so
+    u = 1 + (m-1) x u - x^2 u'.  For P_n = u^n this gives, with d = n(m-1),
+
+        n P_n[i] = n P_(n-1)[i] + (d - i + 1) P_n[i-1],
+
+    an exact division by n.  Each coefficient then costs two small-integer
+    operations instead of the m products of a plain convolution by u.
+    """
+    p = [1]
+    for n in count(1):
+        d = n * (m - 1)
+        prev = p + [0] * (m - 1)
+        p = [1]
+        for i in range(1, d + 1):
+            p.append(prev[i] + (d - i + 1) * p[-1] // n)
+        yield n, p
+
+
+def _phi_numerator(m: int, n: int, p: list[int]) -> int:
+    """t with Phi(q_m^n)(-1) = t/(mn)!, from p = u_m^n.
+
+    q_m^n = (-m)^n x^n u_m^n, so the coefficient of x^l is c_l = (-m)^n p[l-n]
+    and (-1)^l c_l = m^n (-1)^(l-n) p[l-n].  Horner over l = n..mn sums
+    these times (mn)!/l! without a division; m^n is applied once at the end.
+    """
+    t = 0
+    for l, c in enumerate(p, start=n):
+        t = t * l + (-c if (l - n) & 1 else c)
+    return t * m**n
+
+
+def _terms(m: int, engine: str = "gf") -> Iterator[tuple[int, int]]:
+    """(n, t) for n = 1, 2, ...: Pr[l1 = n over S_{m,n}] = t/(mn)!, from the given engine."""
+    if engine == "gf":
+        for n, p in _gf_powers(m):
+            yield n, _phi_numerator(m, n, p)
+    else:
+        for n in count(1):
+            p = complete_prob(m, n, engine=engine)
+            yield n, p.numerator * (math.factorial(m * n) // p.denominator)
+
+
+def _partial_sums(m: int, terms: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
+    """(n, t, s, f) with f = (mn)!: term n is t/f and terms 1..n sum to s/f."""
+    s, f = 0, 1
+    for n, t in terms:
+        lift = math.prod(range(m * (n - 1) + 1, m * n + 1))  # (mn)!/(m(n-1))!
+        s, f = s * lift + t, f * lift
+        yield n, t, s, f
 
 
 def p_value(m: int, n: int) -> Fraction:
@@ -202,34 +212,15 @@ def p_value(m: int, n: int) -> Fraction:
 
     Computes Phi(q_m^n)(-1) exactly.  Agrees with
     horton_kurn_h(m, n)/|S_{m,n}| term by term; the equality of the two
-    engines is part of the test suite.
+    engines is part of the test suite.  Raises SpaceTooLarge when the
+    degree n(m-1) of u_m^n exceeds GF_DEGREE_CAP.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return _phi_at_minus_one(q_poly(m) ** n)
-
-
-def _phi_at_minus_one(p: Poly) -> Fraction:
-    """Phi(p)(-1) with a single common denominator.
-
-    For integer-coefficient p (the only case on the hot path) this is one
-    big-integer accumulation followed by one Fraction reduction.
-    """
-    if not p.coeffs:
-        return Fraction(0)
-    deg = p.degree
-    big = _fact(deg)
-    num = 0
-    extra = Fraction(0)
-    for l, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        weight = big // _fact(l)
-        if c.denominator == 1:
-            num += (-c.numerator if l & 1 else c.numerator) * weight
-        else:
-            extra += (-c if l & 1 else c) * Fraction(weight, big)
-    return Fraction(num, big) + extra
+    _check_degree(m, n)
+    for k, p in _gf_powers(m):
+        if k == n:
+            return Fraction(_phi_numerator(m, n, p), math.factorial(m * n))
 
 
 def complete_prob(m: int, n: int, engine: str = "hk") -> Fraction:
@@ -270,36 +261,32 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
     single small value.  Raises NoConvergence when max_n is reached first.
 
     The default engine is "gf": it keeps a running power of q_m and costs
-    one polynomial multiplication per term, where the composition formula
-    would re-enumerate weak compositions for every n.  Both engines yield
-    identical rationals, so the choice affects runtime only.
+    one pass over its coefficients per term, where the composition formula
+    would re-enumerate weak compositions for every n.  All engines yield
+    identical rationals, so the choice affects runtime only.  Every
+    comparison is made in integers over (mn)!; max_n bounds the work.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"need a finite eps > 0, got {eps}")
     if engine not in ("gf", "hk", "brute"):
         raise DomainError(f"unknown engine {engine!r}")
-    eps_frac = Fraction(eps)
-    total = Fraction(0)
-    qpow = Poly((1,))
-    q = q_poly(m) if engine == "gf" else None
-    prev = None
+    if m < 1:
+        raise DomainError(f"need m >= 1, got m={m}")
+    eps_num, eps_den = eps.as_integer_ratio()
+    prev_t = prev_f = None
     run = 0
-    for n in range(1, max_n + 1):
-        if engine == "gf":
-            qpow = qpow * q
-            term = _phi_at_minus_one(qpow)
-        else:
-            term = complete_prob(m, n, engine=engine)
-        total += term
-        run = run + 1 if (prev is not None and term <= prev) else 0
-        prev = term
-        if n >= 3 * m + 3 and term < eps_frac and run >= 3:
+    sums = _partial_sums(m, _terms(m, engine))
+    for _, (n, t, s, f) in zip(range(max_n), sums):
+        # t/f <= prev_t/prev_f and t/f < eps, cross-multiplied
+        run = run + 1 if prev_t is not None and t * prev_f <= prev_t * f else 0
+        prev_t, prev_f = t, f
+        if n >= 3 * m + 3 and t * eps_den < eps_num * f and run >= 3:
             return SeriesResult(
                 m=m,
-                value=float(total),
-                exact_partial_sum=total,
+                value=s / f,
+                exact_partial_sum=Fraction(s, f),
                 terms_used=n,
-                truncation_bound=float(term),
+                truncation_bound=t / f,
                 eps=eps,
             )
     raise NoConvergence(
@@ -314,8 +301,11 @@ def l1_finite_expectation(m: int, n: int) -> Fraction:
     completion probability on k values turns the expectation into a short
     sum of exact terms; used as the finite-n oracle for the Monte Carlo
     estimators, where the limiting series value would leave truncation
-    ambiguity.
+    ambiguity.  Raises SpaceTooLarge when n(m-1) exceeds GF_DEGREE_CAP.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return sum((complete_prob(m, k, engine="gf") for k in range(1, n + 1)), Fraction(0))
+    _check_degree(m, n)
+    for k, _, s, f in _partial_sums(m, _terms(m)):
+        if k == n:
+            return Fraction(s, f)

@@ -30,14 +30,14 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import DomainError, NoConvergence
-from .exact import Poly, _fact
+from .exact import _fact
 
 
-def truncated_exp(m: int) -> Poly:
-    """E_m(x) = sum_{k=0..m} x^k / k! as an exact rational polynomial."""
+def truncated_exp(m: int) -> tuple[Fraction, ...]:
+    """Coefficients of E_m(x) = sum_{k=0..m} x^k / k!, constant term first."""
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    return Poly([Fraction(1, _fact(k)) for k in range(m + 1)])
+    return tuple(Fraction(1, _fact(k)) for k in range(m + 1))
 
 
 def approx_l1(m: int) -> float:

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -73,10 +73,65 @@ def test_greedy_code_distance_and_gv(m, n, delta):
         assert hamming(x, y) >= delta
     # greedy maximality: every word of the space is within delta-1 of the code
     if m**n <= 300:
-        from itertools import product
-
         for w in product(range(1, m + 1), repeat=n):
             assert any(hamming(w, c) < delta for c in code.words)
+
+
+def _reference_sieve(m, n, delta):
+    """The lexicographic greedy code by a plain Python sieve over word indices."""
+    if delta == 1:
+        return tuple(product(range(1, m + 1), repeat=n))
+    place = [m ** (n - 1 - j) for j in range(n)]
+    dead = bytearray(m**n)
+    admitted = []
+    for idx in range(m**n):
+        if dead[idx]:
+            continue
+        digits = []
+        rem = idx
+        for p in place:
+            d, rem = divmod(rem, p)
+            digits.append(d)
+        admitted.append(tuple(d + 1 for d in digits))
+        for dist in range(1, delta):
+            for pos in combinations(range(n), dist):
+                moves = [[(alt - digits[j]) * place[j] for alt in range(m) if alt != digits[j]] for j in pos]
+                for offsets in product(*moves):
+                    dead[idx + sum(offsets)] = 1
+    return tuple(admitted)
+
+
+@pytest.mark.parametrize("m,n,delta", [
+    (2, 2, 1), (3, 4, 1), (2, 4, 2), (2, 6, 3), (2, 8, 2), (2, 10, 5), (3, 6, 2), (4, 6, 3),
+    (2, 14, 4), (3, 9, 3), (3, 8, 4), (5, 5, 2), (7, 4, 2),
+])
+def test_greedy_code_matches_reference_sieve(m, n, delta):
+    code = greedy_code(m, n, delta)
+    assert code.words == _reference_sieve(m, n, delta)
+    assert all(type(d) is int for w in code.words[:3] for d in w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(2, 4), n=st.integers(2, 6))
+def test_min_distance_check_is_the_pairwise_condition(data, m, n):
+    from cis.acceptance import _min_distance_ok
+
+    delta = data.draw(st.integers(1, n // 2))
+    word = st.tuples(*[st.integers(1, m)] * n)
+    words = tuple(data.draw(st.lists(word, min_size=1, max_size=12)))
+    code = bounds.CodeBook(m, n, delta, words)
+    # duplicates count as distance 0
+    assert _min_distance_ok(code, m, n, delta) == all(
+        hamming(x, y) >= delta for x, y in combinations(words, 2))
+
+
+def test_min_distance_check_rejects_duplicates():
+    from cis.acceptance import _min_distance_ok
+
+    code = greedy_code(2, 8, 3)
+    assert _min_distance_ok(code, 2, 8, 3)
+    doubled = bounds.CodeBook(2, 8, 3, code.words + code.words[-1:])
+    assert not _min_distance_ok(doubled, 2, 8, 3)
 
 
 def test_greedy_code_known_small_instance():

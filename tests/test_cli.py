@@ -1,6 +1,7 @@
 """End-to-end checks of the command line: records, caching, exit codes."""
 
 import json
+import math
 import time
 
 import pytest
@@ -167,6 +168,8 @@ def test_non_finite_float_arguments_exit_2(run_cli, capsys, argv):
     ("bounds", "factorial-threshold", "--m", "2", "--t", "10", "--c", "1e5"),
     ("prob-complete", "--m", "20", "--n", "30", "--engine", "hk"),
     ("bounds", "block-lower", "--m", "200", "--n", "400", "--k", "200"),
+    ("prob-complete", "--m", "2", "--n", "5000"),
+    ("prob-complete", "--m", "41", "--n", "101", "--engine", "gf"),
 ])
 def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
     start = time.perf_counter()
@@ -174,6 +177,41 @@ def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
     assert time.perf_counter() - start < 5.0
     assert (code, out) == (4, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("engine", ["gf", "hk"])
+def test_exact_value_past_the_digit_limit_exits_4(run_cli, capsys, engine):
+    # 1/20000! is cheap on both engines, but its denominator has 77,338 digits
+    start = time.perf_counter()
+    code, out = run_cli("prob-complete", "--m", "1", "--n", "20000", "--engine", engine)
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_digit_limit_is_read_not_changed(run_cli, monkeypatch, tmp_path):
+    # 25! has 26 digits; the check follows the interpreter's limit, 0 meaning none
+    import sys
+
+    before = sys.get_int_max_str_digits()
+    for limit, expect in ((26, 0), (25, 4), (0, 0)):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda limit=limit: limit)
+        monkeypatch.setenv("CIS_CACHE_DIR", str(tmp_path / f"cache-{limit}"))
+        code, out = run_cli("prob-complete", "--m", "1", "--n", "25", "--engine", "hk")
+        assert code == expect
+        if expect == 0:
+            assert json.loads(out)["value"] == f"1/{math.factorial(25)}"
+    monkeypatch.undo()
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_parser_is_built_once(run_cli):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli("l1-approx", "--m", "2")[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_unexpected_exception_exits_5_without_traceback(run_cli, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact engines: composition count, generating-function pipeline, series."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -23,30 +24,85 @@ from cis import (
     q_poly,
 )
 from cis import exact
-from cis.exact import Poly
+
+
+def _times(a, b):
+    """Product of two coefficient sequences, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def test_q_poly_frozen_coefficients():
     # q_m(x) = -m! sum_{j=1..m} x^j/(m-j)!
-    assert q_poly(1) == Poly([0, -1])
-    assert q_poly(2) == Poly([0, -2, -2])
-    assert q_poly(3) == Poly([0, -3, -6, -6])
+    assert q_poly(1) == (0, -1)
+    assert q_poly(2) == (0, -2, -2)
+    assert q_poly(3) == (0, -3, -6, -6)
+    assert all(type(c) is int for c in q_poly(5))
 
 
 def test_phi_worked_example():
     # q_2^2 = 4x^2 + 8x^3 + 4x^4; after x^k -> x^k/k! the value at -1 is 5/6
-    square = q_poly(2) ** 2
-    assert square == Poly([0, 0, 4, 8, 4])
+    square = _times(q_poly(2), q_poly(2))
+    assert square == (0, 0, 4, 8, 4)
     transformed = phi_apply(square)
-    assert transformed == Poly([0, 0, 2, Fraction(4, 3), Fraction(1, 6)])
-    assert transformed(-1) == Fraction(5, 6)
+    assert transformed == (0, 0, 2, Fraction(4, 3), Fraction(1, 6))
+    assert sum(c * (-1) ** k for k, c in enumerate(transformed)) == Fraction(5, 6)
     assert p_value(2, 2) == Fraction(5, 6)
 
 
 @given(st.lists(st.fractions(max_denominator=50), min_size=0, max_size=8))
 def test_phi_round_trip(coeffs):
-    p = Poly(coeffs)
+    p = tuple(coeffs)
     assert phi_inverse(phi_apply(p)) == p
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_gf_powers_match_plain_convolution(m):
+    # q_m^n = (-m x)^n u_m^n, so u_m^n is q_m^n shifted down by n and divided by (-m)^n
+    qpow = (1,)
+    for n, p in exact._gf_powers(m):
+        qpow = _times(qpow, q_poly(m))
+        scale = (-m) ** n
+        assert qpow[:n] == (0,) * n
+        assert [c // scale for c in qpow[n:]] == p
+        assert all(c % scale == 0 for c in qpow[n:])
+        if n == 7:
+            break
+
+
+# (terms_used, truncation_bound, value, SHA-256 prefix of str(exact_partial_sum)) of
+# l1_series(m) under the default eps, as computed by the Fraction polynomial engine
+SERIES_PINNED = {
+    1: (15, 7.647163731819816e-13, 1.7182818284589945, "f4ee4756d35dbd4398c9b2daa157c678"),
+    2: (20, 1.587686206209183e-13, 2.756049227094711, "e5a62a8bc8faa1dd87fd4e3de52fe3fe"),
+    3: (23, 4.948809996133108e-13, 3.8006123352952113, "5dc6b78b2d8f5acc746877f3fe05f014"),
+    4: (26, 5.600966873334869e-13, 4.833355397977586, "fc1ca5cd176511eed1ea3cd3271a395d"),
+    5: (29, 3.89986500665942e-13, 5.857129312302133, "adfad789df1acaf95df4723f9db54f37"),
+    6: (32, 2.06636584279468e-13, 6.8749941233654335, "b159d30eaa739ee7b34fea30c59afb18"),
+    7: (34, 4.625593139518444e-13, 7.888887204166261, "c25ed6de5605d81996312744df7c96b4"),
+    8: (36, 8.131703820612596e-13, 8.89999960036241, "df8826a368ae2e90da711143aaea9266"),
+    9: (39, 2.7682513740510754e-13, 9.909090828568608, "da57eead6bdf6a650036f52bd1b137b8"),
+    10: (41, 3.795618483547553e-13, 10.916666653887312, "b7bd5cbe7f00104a0ca9af1eb3ac15ac"),
+    11: (43, 4.675166859715333e-13, 11.9230769221242, "1d682897a481c25a94e64202f2b48203"),
+    12: (45, 5.293092691978697e-13, 12.928571428942446, "84d91db66aaf4cc76c00248dc6933bb9"),
+    13: (47, 5.601410151645959e-13, 13.933333333577671, "64498d0808f88047ea7f5f380ee8092a"),
+    14: (49, 5.610615948946571e-13, 14.93750000009553, "4f4d6cbae34de71c09725c9fc1870081"),
+    15: (51, 5.370514909817406e-13, 15.94117647061899, "0f50392474556406463f88d48ba4f100"),
+    16: (53, 4.949452105775892e-13, 16.94444444445314, "792726df5f7e56f8c4f44e35057bf37d"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SERIES_PINNED))
+def test_series_pinned_values(m):
+    res = l1_series(m)
+    digest = hashlib.sha256(str(res.exact_partial_sum).encode()).hexdigest()[:32]
+    assert (res.terms_used, res.truncation_bound, res.value, digest) == SERIES_PINNED[m]
+    assert res.value == float(res.exact_partial_sum)
+    if m <= 4:
+        assert l1_series(m, engine="hk") == res
 
 
 def test_h_known_values():
@@ -106,6 +162,22 @@ def test_horton_kurn_h_caps_its_compositions(monkeypatch):
     monkeypatch.setattr(exact, "COMPOSITION_CAP", 9)
     with pytest.raises(SpaceTooLarge):
         horton_kurn_h(3, 3)
+
+
+def test_gf_engine_caps_its_degree(monkeypatch):
+    # the cap is on n(m-1), the degree of u_m^n; m = 1 has degree 0 at every n
+    with pytest.raises(SpaceTooLarge):
+        p_value(2, exact.GF_DEGREE_CAP + 1)
+    with pytest.raises(SpaceTooLarge):
+        l1_finite_expectation(3, exact.GF_DEGREE_CAP)
+    assert p_value(1, 3000) == Fraction(1, math.factorial(3000))
+    monkeypatch.setattr(exact, "GF_DEGREE_CAP", 6)
+    assert p_value(3, 3) == complete_prob(3, 3, engine="hk")
+    assert l1_finite_expectation(4, 2) == sum(complete_prob(4, k) for k in (1, 2))
+    with pytest.raises(SpaceTooLarge):
+        p_value(4, 3)
+    with pytest.raises(SpaceTooLarge):
+        complete_prob(3, 4, engine="gf")
 
 
 def test_series_m1_matches_e_minus_one():
