@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import Estimate, _base, _check_trials, _collect, _occ_tensor, _walk
+from .montecarlo import Estimate, _base, _check_trials, _collect, _occ_tensor, _rank, _walk
 from .words import Word
 
 STRATEGIES = ("trivial", "safe", "shifting")
@@ -92,7 +92,7 @@ def _safe_score(occ: np.ndarray) -> np.ndarray:
     pos = occ[:, 0, m - 1]
     for v in range(1, n):
         row = occ[alive, v]
-        j = np.count_nonzero(row <= pos[:, None], axis=1)
+        j = _rank(row, pos)
         stuck = j > 0  # some copies already gone: stuck on type v+1
         score[alive[stuck]] = m * (v + 1) - j[stuck]
         alive, pos = alive[~stuck], row[~stuck, m - 1]

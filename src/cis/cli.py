@@ -63,11 +63,15 @@ def _fields(obj, value: str, *names: str, **extra):
     return _finite(getattr(obj, value)), None, {**{k: _finite(getattr(obj, k)) for k in names}, **extra}
 
 
-def _fraction(f, **extra):
+def _check_digits(what: str, *ints: int) -> None:
+    """SpaceTooLarge when an exact integer of the record is past the interpreter's integer string limit."""
     limit = sys.get_int_max_str_digits()
-    if limit and max(abs(f.numerator), f.denominator) >= 10**limit:
-        raise SpaceTooLarge(f"the exact value has more than {limit} digits in its numerator or denominator, "
-                            "past the interpreter's integer string limit")
+    if limit and max(abs(i) for i in ints) >= 10**limit:
+        raise SpaceTooLarge(f"{what} has more than {limit} digits, past the interpreter's integer string limit")
+
+
+def _fraction(f, **extra):
+    _check_digits("the exact value's numerator or denominator", f.numerator, f.denominator)
     return str(f), None, {**extra, "approx": float(f)}
 
 
@@ -99,6 +103,7 @@ def _gv_code(m, n, delta, cap):
 
 def _entropy_check(n, delta):
     ec = bounds.entropy_binom_check(n, delta)
+    _check_digits(f"the binomial C({n}, {delta})", ec.binomial)
     return "holds" if ec.holds else "violated", None, {
         "binomial": ec.binomial, "entropy_exponent": ec.entropy_exponent, "bound": _finite(ec.bound)}
 

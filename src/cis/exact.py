@@ -49,9 +49,16 @@ _FACT_MEMO = 1024  # _fact keeps k! for k below this; a memo up to 20000! would 
 
 # most weak compositions horton_kurn_h will enumerate, at a few microseconds each
 COMPOSITION_CAP = 10**6
+# most compositions x (mn)^2 horton_kurn_h will take on: each composition
+# divides (mn)! by l! with l up to mn, a schoolbook division whose time grows
+# with the square of mn; (2, 2000) at 3.2e10 takes about 3 s on one core
+HK_WORK_CAP = 5 * 10**10
 # highest degree n(m-1) of u_m^n that p_value and l1_finite_expectation build;
 # (m, n) = (2, 4000) takes about 8 s on one core
 GF_DEGREE_CAP = 4000
+# highest degree n(m-1) of u_m^n that l1_series builds; m = 60 stops at
+# n = 183, degree 10,797
+SERIES_DEGREE_CAP = 11_000
 
 
 def _fact(k: int) -> int:
@@ -89,15 +96,22 @@ def horton_kurn_h(m: int, n: int) -> int:
     ((m-1)!)^n so the accumulation is pure integer arithmetic; the final
     division must be exact, otherwise the formula was evaluated wrongly
     and InternalInconsistency is raised.  Raises SpaceTooLarge when there
-    are more than COMPOSITION_CAP weak compositions to sum over.
+    are more than COMPOSITION_CAP weak compositions to sum over, or when
+    compositions x (mn)^2 exceeds HK_WORK_CAP.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if math.comb(n + m - 1, m - 1) > COMPOSITION_CAP:
+    mn = m * n
+    comps = math.comb(n + m - 1, m - 1)
+    if comps > COMPOSITION_CAP:
         raise SpaceTooLarge(
             f"h_{m}({n}) sums over C({n + m - 1}, {m - 1}) weak compositions, more than {COMPOSITION_CAP}"
         )
-    mn = m * n
+    if comps * mn**2 > HK_WORK_CAP:
+        raise SpaceTooLarge(
+            f"h_{m}({n}) divides ({mn})! by l! for each of {comps} weak compositions, "
+            f"and {comps} x {mn}^2 is more than {HK_WORK_CAP}"
+        )
     fact_mn = _fact(mn)
     # r_j = (m-1)!/(m-j)! is an integer for j = 1..m
     ratios = [0] + [_fact(m - 1) // _fact(m - j) for j in range(1, m + 1)]
@@ -264,7 +278,10 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
     one pass over its coefficients per term, where the composition formula
     would re-enumerate weak compositions for every n.  All engines yield
     identical rationals, so the choice affects runtime only.  Every
-    comparison is made in integers over (mn)!; max_n bounds the work.
+    comparison is made in integers over (mn)!.  max_n bounds the work, and
+    so does SERIES_DEGREE_CAP on the degree n(m-1) of the last term:
+    SpaceTooLarge is raised at once when the stopping rule's first index
+    3m+3 is past it, and after the last term within it otherwise.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"need a finite eps > 0, got {eps}")
@@ -272,11 +289,17 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
         raise DomainError(f"unknown engine {engine!r}")
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
+    top = max_n if m == 1 else min(max_n, SERIES_DEGREE_CAP // (m - 1))
+    capped = SpaceTooLarge(
+        f"the series for m={m} cannot meet its stopping rule within degree n(m-1) <= {SERIES_DEGREE_CAP}"
+    )
+    if top < max_n and top < 3 * m + 3:
+        raise capped
     eps_num, eps_den = eps.as_integer_ratio()
     prev_t = prev_f = None
     run = 0
     sums = _partial_sums(m, _terms(m, engine))
-    for _, (n, t, s, f) in zip(range(max_n), sums):
+    for _, (n, t, s, f) in zip(range(top), sums):
         # t/f <= prev_t/prev_f and t/f < eps, cross-multiplied
         run = run + 1 if prev_t is not None and t * prev_f <= prev_t * f else 0
         prev_t, prev_f = t, f
@@ -289,6 +312,8 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
                 truncation_bound=t / f,
                 eps=eps,
             )
+    if top < max_n:
+        raise capped
     raise NoConvergence(
         f"series for m={m} did not meet the stopping rule within {max_n} terms"
     )

@@ -11,11 +11,15 @@ Blocks hold about _BLOCK_LETTERS letters and at least one trial.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
-positions of value v in word t in increasing order, from one stable
-argsort along the rows.  The greedy chain behind l1, pattern containment
-and the shifting card-game player is one walk over rows of occ (_walk);
-the all-starts chain for l_max advances every (trial, start) pair in
-lockstep.  Each step touches only the trials still alive.
+positions of value v in word t in increasing order, from a stable argsort
+along the rows.  numpy radix-sorts 8- and 16-bit keys but falls back to a
+comparison sort for wider ones, so letters past 2^16 (n >= 2^16) are
+sorted in stable 16-bit passes, low digit first (_occ_tensor).  The
+greedy chain behind l1, pattern containment and the shifting card-game
+player is one walk over rows of occ (_walk); the all-starts chain for
+l_max advances every (trial, start) pair in lockstep.  Each step touches
+only the trials still alive, and finds the next position in a row with
+one rank count over the row's m columns (_rank).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .exact import complete_prob
 from .rng import substreams
 
 _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
+_RANK_COLUMNS = 4  # widest rows that _rank sums column by column
 
 
 def _base(m: int, n: int) -> np.ndarray:
@@ -43,7 +48,8 @@ def _base(m: int, n: int) -> np.ndarray:
 def _small_range(start: int, stop: int) -> np.ndarray:
     # the smallest unsigned dtype that holds the values: the shuffle draws
     # the same whatever the dtype, and the stable argsort radix-sorts 8- and
-    # 16-bit keys, several times faster than 64-bit ones
+    # 16-bit keys, several times faster than wider ones (which _occ_tensor
+    # sorts as 16-bit digits)
     return np.arange(start, stop, dtype=np.min_scalar_type(stop))
 
 
@@ -99,8 +105,34 @@ def _check_mn(m: int, n: int) -> None:
 
 
 def _occ_tensor(letters: np.ndarray, m: int, n: int) -> np.ndarray:
-    # stable argsort groups equal values and keeps positions increasing
-    return np.argsort(letters, axis=1, kind="stable").reshape(-1, n, m)
+    # a stable argsort groups equal values and keeps positions increasing.
+    # Letters wider than 16 bits (values are positive) are sorted one 16-bit
+    # digit at a time, low digit first, each pass a stable (radix) argsort
+    # of the next digits in the order so far; a stable sort is unique, so
+    # the order is the one-pass sort's
+    if letters.dtype.itemsize <= 2:
+        return np.argsort(letters, axis=1, kind="stable").reshape(-1, n, m)
+    order = np.argsort(letters.astype(np.uint16), axis=1, kind="stable")
+    for shift in range(16, int(letters.max()).bit_length(), 16):
+        digits = (np.take_along_axis(letters, order, axis=1) >> shift).astype(np.uint16)
+        order = np.take_along_axis(order, np.argsort(digits, axis=1, kind="stable"), axis=1)
+    return order.reshape(-1, n, m)
+
+
+def _rank(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """How many entries of each row are at or before pos, for increasing rows.
+
+    Rows of up to _RANK_COLUMNS entries are summed one boolean column at a
+    time: numpy's count_nonzero along so short an axis is its slow path,
+    about 5x slower at m = 2 and 10^5 rows.  On wider rows the m strided
+    column passes cost more than the one reduction.
+    """
+    if rows.shape[1] > _RANK_COLUMNS:
+        return np.count_nonzero(rows <= pos[:, None], axis=1)
+    k = (rows[:, 0] <= pos).astype(np.intp)
+    for c in range(1, rows.shape[1]):
+        k += rows[:, c] <= pos
+    return k
 
 
 def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +152,7 @@ def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray]
     pos = np.full(trials, -1, dtype=np.int64)
     for v in rows:
         row = occ[alive, v]
-        k = np.count_nonzero(row <= pos[:, None], axis=1)
+        k = _rank(row, pos)
         ok = np.flatnonzero(k < m)
         if ok.size == 0:
             break
@@ -154,7 +186,7 @@ def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
     while chain.size:
         chain += 1
         rows = flat.take(chain, axis=0, mode="clip")
-        idx = np.count_nonzero(rows <= cur[:, None], axis=1)
+        idx = _rank(rows, cur)
         ok = np.flatnonzero((idx < m) & ~past_top[chain])
         chain, cur = chain[ok], rows.ravel()[ok * m + idx[ok]]
         length += np.diff(np.searchsorted(chain, edges)) > 0

@@ -170,6 +170,8 @@ def test_non_finite_float_arguments_exit_2(run_cli, capsys, argv):
     ("bounds", "block-lower", "--m", "200", "--n", "400", "--k", "200"),
     ("prob-complete", "--m", "2", "--n", "5000"),
     ("prob-complete", "--m", "41", "--n", "101", "--engine", "gf"),
+    ("prob-complete", "--m", "2", "--n", "20000", "--engine", "hk"),
+    ("l1-exact", "--m", "1000"),
 ])
 def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
     start = time.perf_counter()
@@ -189,6 +191,17 @@ def test_exact_value_past_the_digit_limit_exits_4(run_cli, capsys, engine):
     assert (code, out) == (4, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_exact_integer_in_meta_past_the_digit_limit_exits_4_in_every_format(run_cli, capsys):
+    # C(100000, 50000) has 30,101 digits
+    errors = []
+    for fmt in ("json", "plain", "csv"):
+        code, out = run_cli("bounds", "entropy-check", "--n", "100000", "--delta", "50000", "--format", fmt)
+        assert (code, out) == (4, "")
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+    assert errors == errors[:1] * 3
 
 
 def test_digit_limit_is_read_not_changed(run_cli, monkeypatch, tmp_path):

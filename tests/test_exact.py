@@ -164,6 +164,40 @@ def test_horton_kurn_h_caps_its_compositions(monkeypatch):
         horton_kurn_h(3, 3)
 
 
+def test_horton_kurn_h_caps_its_division_work(monkeypatch):
+    # (2, 20000) has only 20,001 compositions, but each divides (40000)! by l!
+    with pytest.raises(SpaceTooLarge, match="weak compositions"):
+        horton_kurn_h(2, 20000)
+    # h_3(3) takes 10 compositions x 9^2 = 810 units
+    monkeypatch.setattr(exact, "HK_WORK_CAP", 810)
+    assert horton_kurn_h(3, 3) == count_complete_bruteforce(3, 3)
+    monkeypatch.setattr(exact, "HK_WORK_CAP", 809)
+    with pytest.raises(SpaceTooLarge):
+        horton_kurn_h(3, 3)
+
+
+def test_series_caps_its_degree(monkeypatch):
+    # m = 60 stops at its first admissible index n = 3m+3 = 183; m = 61 cannot
+    assert 183 * 59 <= exact.SERIES_DEGREE_CAP < 186 * 60
+    with pytest.raises(SpaceTooLarge):
+        l1_series(1000)
+    res = l1_series(3)
+    # m = 3 needs degree 2 * terms_used: the cap stops the series after its last term within
+    monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 2 * res.terms_used)
+    assert l1_series(3) == res
+    monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 2 * res.terms_used - 1)
+    with pytest.raises(SpaceTooLarge):
+        l1_series(3)
+    # a max_n within the cap still ends in NoConvergence
+    with pytest.raises(NoConvergence):
+        l1_series(3, max_n=res.terms_used - 1)
+    # the stopping rule needs n >= 3m+3 = 12: a cap below degree 24 fails before any term
+    monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 23)
+    monkeypatch.setattr(exact, "_terms", None)
+    with pytest.raises(SpaceTooLarge):
+        l1_series(3)
+
+
 def test_gf_engine_caps_its_degree(monkeypatch):
     # the cap is on n(m-1), the degree of u_m^n; m = 1 has degree 0 at every n
     with pytest.raises(SpaceTooLarge):

@@ -35,6 +35,7 @@ from cis.montecarlo import (
     _lis_from_letters,
     _lmax_from_occ,
     _occ_tensor,
+    _rank,
     _walk,
 )
 from cis.rng import substream, substreams
@@ -101,6 +102,27 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [70_000, 3_000])
+def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
+    # n >= 2^16 needs uint32 letters, which take two 16-bit radix passes;
+    # uint32 letters below 2^16 (as obs2's projected labels) take one
+    letters = np.stack([np.random.default_rng(seed).permutation(_base(m, n)) for seed in range(3)])
+    letters = letters.astype(np.uint32)
+    want = np.argsort(letters.astype(np.int64), axis=1, kind="stable").reshape(-1, n, m)
+    assert np.array_equal(_occ_tensor(letters, m, n), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_rank_counts_entries_at_or_before_pos(m):
+    rng = np.random.default_rng(m)
+    rows = np.sort(rng.integers(0, 12, size=(500, m)), axis=1)
+    # half the positions tie with an entry of their row
+    pos = np.where(rng.random(500) < 0.5, rows[np.arange(500), rng.integers(0, m, 500)],
+                   rng.integers(-1, 13, 500))
+    assert _rank(rows, pos).tolist() == np.count_nonzero(rows <= pos[:, None], axis=1).tolist()
+
+
 def test_sampled_letters_form_valid_words():
     def sorted_rows(letters):
         return [sorted(row) == [v for v in range(1, 8) for _ in range(3)]
@@ -158,6 +180,8 @@ def test_seeded_outputs_are_pinned():
     assert pair(expected_score(2, 8, "safe", 300, seed=7)) == (
         2.7533333333333334, 0.05780707029801792)
     assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.46, 0.06530265700768306)
+    # n >= 2^16: 32-bit letters and the two-pass radix sort
+    assert pair(estimate_lmax(2, 70000, 3, seed=1)) == (10.333333333333334, 0.3333333333333333)
 
 
 def test_validation():
