@@ -16,10 +16,11 @@ import math
 import os
 import tempfile
 import time
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from unittest.mock import patch
 
 import numpy as np
 
@@ -74,28 +75,13 @@ def run_all(level: str = "full") -> list[CriterionResult]:
 # plumbing
 
 
-@contextmanager
-def _temp_env(pairs: dict):
-    old = {k: os.environ.get(k) for k in pairs}
-    for k, v in pairs.items():
-        os.environ[k] = v
-    try:
-        yield
-    finally:
-        for k, v in old.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def _run_cli(argv):
     """Drive the CLI in-process against a throwaway cache; parse JSON out."""
     from . import cli
 
     buf = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        with _temp_env({"CIS_CACHE_DIR": tmp}), redirect_stdout(buf):
+        with patch.dict(os.environ, {"CIS_CACHE_DIR": tmp}), redirect_stdout(buf):
             code = cli.main(list(argv))
     text = buf.getvalue().strip()
     record = json.loads(text) if text.startswith("{") else None
@@ -317,12 +303,10 @@ def _c10(level):
     ok_trivial = trivial.mean == float(m) and trivial.std_error == 0.0
     clauses.append((ok_trivial, f"trivial constant at {m}: {ok_trivial}"))
 
-    def undercut(letters):
-        occ = montecarlo._occ_tensor(letters, m, n)
+    def undercut(occ):
         return cardgame._shifting_score(occ) < montecarlo._l1_from_occ(occ)
 
-    undercuts = int(montecarlo._collect(t_small, _SEED + 102, [montecarlo._base(m, n)],
-                                        undercut).sum())
+    undercuts = int(montecarlo._occ_values(m, n, t_small, _SEED + 102, undercut).sum())
     clauses.append((undercuts == 0, f"shifting >= l1 on {t_small - undercuts}/{t_small} trials"))
 
     # the exact safe mean is certified by enumerating every deck of S_{2,k}

@@ -17,11 +17,24 @@ guess was right.  The score is the number of correct guesses.
   copies.  Long-run expectation approaches the limiting mean of l1, close
   to m + 1 - 1/(m+2).
 
+Each player is a greedy walk through a sequence of rows of a deck's
+occurrence tensor (montecarlo._walk): the walk takes the first copy of
+the row's type after its last pick, a repeated row gives the next copy,
+and the score is the number of rows matched.
+
+* trivial walks type 1's row m times, so it scores m and needs no deck.
+* safe walks each type's row m times, in order.  Once type v is
+  complete the player catches every copy of v+1 after that point; at the
+  first type with a copy already gone it catches the copies that remain
+  and then waits forever, and there the walk stops too.
+* shifting walks the rows of types 1..n and then type n's row another
+  m-1 times: the greedy chain, plus the copies of n after the one that
+  completed it.
+
 play() walks a single deck card by card and returns the full trace;
-expected_score() Monte Carlos the mean over uniform decks using closed
-scorers on the occurrence tensor of a block of decks (see montecarlo),
-which are step-for-step equivalent to play() (the test suite checks the
-equivalence).  The trivial player needs no decks at all.
+expected_score() Monte Carlos the mean over uniform decks with these
+walks on the occurrence tensor of a block of decks, which the test suite
+checks against play() on every small deck space.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .montecarlo import Estimate, _base, _check_trials, _collect, _occ_tensor, _rank, _walk
+from .montecarlo import Estimate, _check_trials, _occ_values, _walk
 from .words import Word
 
 STRATEGIES = ("trivial", "safe", "shifting")
@@ -84,29 +97,13 @@ def play(word: Word, strategy: str) -> GameTrace:
 
 
 def _safe_score(occ: np.ndarray) -> np.ndarray:
-    # all copies of 1 are always caught; from then on type v only counts
-    # its copies after the position where type v-1 was completed
-    trials, n, m = occ.shape
-    score = np.full(trials, m * n, dtype=np.int64)  # no stall
-    alive = np.arange(trials)
-    pos = occ[:, 0, m - 1]
-    for v in range(1, n):
-        row = occ[alive, v]
-        j = _rank(row, pos)
-        stuck = j > 0  # some copies already gone: stuck on type v+1
-        score[alive[stuck]] = m * (v + 1) - j[stuck]
-        alive, pos = alive[~stuck], row[~stuck, m - 1]
-        if alive.size == 0:
-            break
-    return score
+    _, n, m = occ.shape
+    return _walk(occ, (v for v in range(n) for _ in range(m)))
 
 
 def _shifting_score(occ: np.ndarray) -> np.ndarray:
-    # the greedy chain; a player who reaches type n camps there and also
-    # catches every copy of n after the one that completed the chain
     _, n, m = occ.shape
-    steps, j = _walk(occ, range(n))
-    return steps + np.where(steps == n, m - 1 - j, 0)
+    return _walk(occ, [*range(n), *[n - 1] * (m - 1)])
 
 
 def safe_expected_exact(m: int, n: int) -> Fraction:
@@ -145,6 +142,5 @@ def expected_score(m: int, n: int, strategy: str, trials: int, seed: int) -> Est
         _check_trials(trials)
         return Estimate.from_values(np.full((trials, 1), float(m)), seed)
     scorer = _safe_score if strategy == "safe" else _shifting_score
-    values = _collect(trials, seed, [_base(m, n)],
-                      lambda letters: scorer(_occ_tensor(letters, m, n)))
+    values = _occ_values(m, n, trials, seed, scorer)
     return Estimate.from_values(values, seed)

@@ -8,7 +8,10 @@ Two independent exact routes compute Pr[l1(w) = n] for uniform w in S_{m,n}:
        h_m(n) = sum  multinomial(n; i_1..i_m) * (mn)!/l! * (-1)^(l-n)
                      / prod_j ((m-j)!)^(i_j),        l = sum_j j*i_j,
 
-   divided by |S_{m,n}| = (mn)!/(m!)^n.
+   divided by |S_{m,n}| = (mn)!/(m!)^n.  The compositions with the same l
+   are summed first, and the sum over l shares route 2's Horner pass
+   (_phi_numerator); enumeration (words.count_complete_bruteforce) checks
+   that pass on its own.
 
 2. A generating-function pipeline: with q_m(x) = -m! * sum_{j=1..m}
    x^j/(m-j)!, raise it to the n-th power, divide the coefficient of x^l
@@ -49,9 +52,11 @@ _FACT_MEMO = 1024  # _fact keeps k! for k below this; a memo up to 20000! would 
 
 # most weak compositions horton_kurn_h will enumerate, at a few microseconds each
 COMPOSITION_CAP = 10**6
-# most compositions x (mn)^2 horton_kurn_h will take on: each composition
-# divides (mn)! by l! with l up to mn, a schoolbook division whose time grows
-# with the square of mn; (2, 2000) at 3.2e10 takes about 3 s on one core
+# most compositions x (mn)^2 horton_kurn_h will take on.  The compositions are
+# summed by l first and (mn)!/l! enters through one Horner pass over l, so the
+# inputs under both caps take at most a few seconds on one core, mostly in the
+# compositions: (2, 2000) at 3.2e10 takes about 0.6 s, (7, 25) at 2.3e10
+# (736,281 compositions) about 3.6 s
 HK_WORK_CAP = 5 * 10**10
 # highest degree n(m-1) of u_m^n that p_value and l1_finite_expectation build;
 # (m, n) = (2, 4000) takes about 8 s on one core
@@ -92,12 +97,15 @@ def weak_compositions(n: int, m: int) -> Iterator[WeakComposition]:
 def horton_kurn_h(m: int, n: int) -> int:
     """Exact number of words in S_{m,n} containing 1, 2, ..., n.
 
-    Sums the alternating composition formula with every term scaled by
-    ((m-1)!)^n so the accumulation is pure integer arithmetic; the final
-    division must be exact, otherwise the formula was evaluated wrongly
-    and InternalInconsistency is raised.  Raises SpaceTooLarge when there
-    are more than COMPOSITION_CAP weak compositions to sum over, or when
-    compositions x (mn)^2 exceeds HK_WORK_CAP.
+    Sums multinomial(n; i) * prod_j ((m-1)!/(m-j)!)^(i_j) over the weak
+    compositions i with the same l, which gives the coefficients of u_m^n
+    (see _gf_powers) in integers, and then takes the alternating sum over
+    l of (mn)!/l! with one Horner pass (_phi_numerator).  That is
+    (m!)^n h; the division must be exact, otherwise the formula was
+    evaluated wrongly and InternalInconsistency is raised.  Raises
+    SpaceTooLarge when there are more than COMPOSITION_CAP weak
+    compositions to sum over, or when compositions x (mn)^2 exceeds
+    HK_WORK_CAP.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
@@ -109,15 +117,16 @@ def horton_kurn_h(m: int, n: int) -> int:
         )
     if comps * mn**2 > HK_WORK_CAP:
         raise SpaceTooLarge(
-            f"h_{m}({n}) divides ({mn})! by l! for each of {comps} weak compositions, "
+            f"h_{m}({n}) sums {comps} weak compositions over ({mn})!, "
             f"and {comps} x {mn}^2 is more than {HK_WORK_CAP}"
         )
-    fact_mn = _fact(mn)
     # r_j = (m-1)!/(m-j)! is an integer for j = 1..m
     ratios = [0] + [_fact(m - 1) // _fact(m - j) for j in range(1, m + 1)]
     rpow = [[r**i for i in range(n + 1)] for r in ratios]
     fact_n = _fact(n)
-    total = 0
+    # coeffs[l - n] collects the compositions with sum_j j*i_j = l: it is
+    # the coefficient of x^(l-n) in u_m^n, as multinomial(n; i) * prod r_j^(i_j)
+    coeffs = [0] * (mn - n + 1)
     for comp in weak_compositions(n, m):
         l = 0
         multinom = fact_n
@@ -127,13 +136,11 @@ def horton_kurn_h(m: int, n: int) -> int:
                 l += j * ij
                 multinom //= _fact(ij)
                 rprod *= rpow[j][ij]
-        term = multinom * (fact_mn // _fact(l)) * rprod
-        total += -term if (l - n) & 1 else term
-    scale = _fact(m - 1) ** n
-    h, rem = divmod(total, scale)
+        coeffs[l - n] += multinom * rprod
+    h, rem = divmod(_phi_numerator(m, n, coeffs), _fact(m) ** n)
     if rem:
         raise InternalInconsistency(
-            f"composition sum for h_{m}({n}) is not an integer multiple of ((m-1)!)^n"
+            f"composition sum for h_{m}({n}) is not an integer multiple of (m!)^n"
         )
     return h
 
@@ -201,21 +208,11 @@ def _phi_numerator(m: int, n: int, p: list[int]) -> int:
     return t * m**n
 
 
-def _terms(m: int, engine: str = "gf") -> Iterator[tuple[int, int]]:
-    """(n, t) for n = 1, 2, ...: Pr[l1 = n over S_{m,n}] = t/(mn)!, from the given engine."""
-    if engine == "gf":
-        for n, p in _gf_powers(m):
-            yield n, _phi_numerator(m, n, p)
-    else:
-        for n in count(1):
-            p = complete_prob(m, n, engine=engine)
-            yield n, p.numerator * (math.factorial(m * n) // p.denominator)
-
-
-def _partial_sums(m: int, terms: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int, int, int]]:
-    """(n, t, s, f) with f = (mn)!: term n is t/f and terms 1..n sum to s/f."""
+def _partial_sums(m: int) -> Iterator[tuple[int, int, int, int]]:
+    """(n, t, s, f) with f = (mn)!: Pr[l1 = n over S_{m,n}] = t/f and terms 1..n sum to s/f."""
     s, f = 0, 1
-    for n, t in terms:
+    for n, p in _gf_powers(m):
+        t = _phi_numerator(m, n, p)
         lift = math.prod(range(m * (n - 1) + 1, m * n + 1))  # (mn)!/(m(n-1))!
         s, f = s * lift + t, f * lift
         yield n, t, s, f
@@ -266,7 +263,7 @@ class SeriesResult:
     eps: float
 
 
-def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") -> SeriesResult:
+def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
     """Partial sum of sum_{n>=1} Pr[l1 = n over S_{m,n}] with a stopping rule.
 
     Stops at the first index n0 >= 3m+3 where the term drops below eps and
@@ -274,19 +271,16 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
     terms are provably non-increasing, the guard just refuses to trust a
     single small value.  Raises NoConvergence when max_n is reached first.
 
-    The default engine is "gf": it keeps a running power of q_m and costs
-    one pass over its coefficients per term, where the composition formula
-    would re-enumerate weak compositions for every n.  All engines yield
-    identical rationals, so the choice affects runtime only.  Every
-    comparison is made in integers over (mn)!.  max_n bounds the work, and
+    The terms come from the generating-function engine: it keeps a running
+    power of u_m and costs one pass over its coefficients per term, where
+    the composition formula would re-enumerate weak compositions for every
+    n.  Every comparison is made in integers over (mn)!.  max_n bounds the work, and
     so does SERIES_DEGREE_CAP on the degree n(m-1) of the last term:
     SpaceTooLarge is raised at once when the stopping rule's first index
     3m+3 is past it, and after the last term within it otherwise.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"need a finite eps > 0, got {eps}")
-    if engine not in ("gf", "hk", "brute"):
-        raise DomainError(f"unknown engine {engine!r}")
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
     top = max_n if m == 1 else min(max_n, SERIES_DEGREE_CAP // (m - 1))
@@ -298,7 +292,7 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400, engine: str = "gf") 
     eps_num, eps_den = eps.as_integer_ratio()
     prev_t = prev_f = None
     run = 0
-    sums = _partial_sums(m, _terms(m, engine))
+    sums = _partial_sums(m)
     for _, (n, t, s, f) in zip(range(top), sums):
         # t/f <= prev_t/prev_f and t/f < eps, cross-multiplied
         run = run + 1 if prev_t is not None and t * prev_f <= prev_t * f else 0
@@ -331,6 +325,6 @@ def l1_finite_expectation(m: int, n: int) -> Fraction:
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     _check_degree(m, n)
-    for k, _, s, f in _partial_sums(m, _terms(m)):
+    for k, _, s, f in _partial_sums(m):
         if k == n:
             return Fraction(s, f)

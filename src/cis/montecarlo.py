@@ -14,12 +14,15 @@ by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
 positions of value v in word t in increasing order, from a stable argsort
 along the rows.  numpy radix-sorts 8- and 16-bit keys but falls back to a
 comparison sort for wider ones, so letters past 2^16 (n >= 2^16) are
-sorted in stable 16-bit passes, low digit first (_occ_tensor).  The
-greedy chain behind l1, pattern containment and the shifting card-game
-player is one walk over rows of occ (_walk); the all-starts chain for
-l_max advances every (trial, start) pair in lockstep.  Each step touches
-only the trials still alive, and finds the next position in a row with
-one rank count over the row's m columns (_rank).
+sorted in stable 16-bit passes, low digit first (_occ_tensor).  l1,
+pattern containment and the safe and shifting card-game players are each
+one greedy walk through a sequence of rows of occ (_walk), which returns
+the number of rows matched; a row may repeat, and then gives its next
+position after the last pick.  The all-starts chain for l_max advances
+every (trial, start) pair in lockstep instead (_lmax_from_occ).  Each
+step touches only the trials still alive, and finds the next position in
+a row with one rank count over the row's m columns (_rank).  _occ_values
+runs a kernel over the occurrence tensor of each block of sampled words.
 """
 
 from __future__ import annotations
@@ -58,16 +61,16 @@ def _check_trials(trials: int) -> None:
         raise DomainError(f"need trials >= 2, got {trials}")
 
 
-def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable,
-             width: int = 1) -> np.ndarray:
+def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable) -> np.ndarray:
     """Fill a (trials, width) array block by block.
 
     Trial i shuffles a copy of each base, in order, with the stream keyed
     by (seed, i).  kernel(*blocks) maps the (T, len(base)) blocks of
-    shuffled words to the T trials' values, shape (T,) or (T, width).
+    shuffled words to the T trials' values, shape (T,) or (T, width); the
+    first block's values fix the width.
     """
     _check_trials(trials)
-    values = np.empty((trials, width), dtype=np.float64)
+    values = None
     size = max(1, _BLOCK_LETTERS // sum(len(b) for b in bases))
     streams = substreams(seed, trials)
     for start in range(0, trials, size):
@@ -77,8 +80,16 @@ def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable,
             gen = next(streams)
             for block in blocks:
                 gen.shuffle(block[t])
-        values[start:start + count] = np.reshape(kernel(*blocks), (count, width))
+        block_values = np.reshape(kernel(*blocks), (count, -1))
+        if values is None:
+            values = np.empty((trials, block_values.shape[1]), dtype=np.float64)
+        values[start:start + count] = block_values
     return values
+
+
+def _occ_values(m: int, n: int, trials: int, seed: int, kernel: Callable) -> np.ndarray:
+    """_collect over words of S_{m,n}, with kernel applied to each block's occurrence tensor."""
+    return _collect(trials, seed, [_base(m, n)], lambda letters: kernel(_occ_tensor(letters, m, n)))
 
 
 @dataclass(frozen=True)
@@ -135,19 +146,20 @@ def _rank(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return k
 
 
-def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+def _walk(occ: np.ndarray, rows: Iterable[int]) -> np.ndarray:
     """Greedy chain through the given rows of each trial's occ, in order.
 
     Each row contributes its first position after the previous pick; a
-    trial's walk stops at a row with none.  Returns per-trial arrays
-    (steps, j): the number of rows matched and the index within its row
-    of the last pick (-1 if none).  Taking the earliest position never
-    hurts later rows, so steps is the longest chain through the rows as a
+    trial's walk stops at a row with none.  A row may repeat: it then
+    gives its next position after the last pick, so row v walked m times
+    takes the copies of value v+1 after the walk so far one by one, and
+    stops when they run out.  Returns the per-trial number of rows
+    matched.  Taking the earliest position never
+    hurts later rows, so this is the longest chain through the rows as a
     subsequence.
     """
     trials, _, m = occ.shape
     steps = np.zeros(trials, dtype=np.int64)
-    j = np.full(trials, -1, dtype=np.int64)
     alive = np.arange(trials)
     pos = np.full(trials, -1, dtype=np.int64)
     for v in rows:
@@ -158,13 +170,12 @@ def _walk(occ: np.ndarray, rows: Iterable[int]) -> tuple[np.ndarray, np.ndarray]
             break
         alive, k = alive[ok], k[ok]
         pos = row.ravel()[ok * m + k]
-        j[alive] = k
         steps[alive] += 1
-    return steps, j
+    return steps
 
 
 def _l1_from_occ(occ: np.ndarray) -> np.ndarray:
-    return _walk(occ, range(occ.shape[1]))[0]
+    return _walk(occ, range(occ.shape[1]))
 
 
 def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
@@ -205,18 +216,13 @@ def _lis_from_letters(letters: np.ndarray) -> int:
 
 
 def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    return _walk(occ, (letter - 1 for letter in pattern))[0] == len(pattern)
-
-
-def _l1_values(m: int, n: int, trials: int, seed: int) -> np.ndarray:
-    return _collect(trials, seed, [_base(m, n)],
-                    lambda letters: _l1_from_occ(_occ_tensor(letters, m, n)))
+    return _walk(occ, (letter - 1 for letter in pattern)) == len(pattern)
 
 
 def estimate_l1(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the greedy run length starting at value 1."""
     _check_mn(m, n)
-    return Estimate.from_values(_l1_values(m, n, trials, seed), seed)
+    return Estimate.from_values(_occ_values(m, n, trials, seed, _l1_from_occ), seed)
 
 
 def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
@@ -225,8 +231,7 @@ def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
     if m * n > 10**8:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
 
-    values = _collect(trials, seed, [_base(m, n)],
-                      lambda letters: _lmax_from_occ(_occ_tensor(letters, m, n)))
+    values = _occ_values(m, n, trials, seed, _lmax_from_occ)
     return Estimate.from_values(values, seed)
 
 
@@ -288,7 +293,7 @@ def moments(m: int, n: int, r_max: int, trials: int, seed: int) -> MomentReport:
     if not 2 <= r_max <= 8:
         raise DomainError(f"need 2 <= r_max <= 8, got {r_max}")
 
-    values = _l1_values(m, n, trials, seed)[:, 0]
+    values = _occ_values(m, n, trials, seed, _l1_from_occ)[:, 0]
     mu = Estimate.from_values(values[:, None], seed)
     centered = values - np.mean(values)
     central = {r: Estimate.from_values((centered**r)[:, None], seed) for r in range(2, r_max + 1)}
@@ -346,7 +351,7 @@ def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Re
         comp = _l1_from_occ(_occ_tensor(tau, m, k)) == k
         return np.stack([tail, comp], axis=1)
 
-    values = _collect(trials, seed, [_base(m, n), _base(m, k)], kernel, width=2)
+    values = _collect(trials, seed, [_base(m, n), _base(m, k)], kernel)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)
@@ -393,7 +398,7 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
         projected = _contains_subsequence(_occ_tensor(labels // m + 1, m, n), w)
         return np.stack([direct, projected], axis=1)
 
-    values = _collect(trials, seed, [_base(m, n), _small_range(0, m * n)], kernel, width=2)
+    values = _collect(trials, seed, [_base(m, n), _small_range(0, m * n)], kernel)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)

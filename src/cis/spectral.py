@@ -252,9 +252,10 @@ class PowerSumReport:
 def power_sum_check(rootset: RootSet, t_max: int | None = None) -> PowerSumReport:
     """Compare numeric inverse power sums with the exact algebraic values.
 
-    Defaults to t = 1..m+2, the range with closed-form targets; larger
-    t_max falls back to Newton's identities for the targets (they agree
-    with the closed forms on the overlap).
+    Defaults to t = 1..m+2, the range with closed-form targets.  The
+    targets always come from Newton's identities
+    (inverse_power_sums_exact), which agree with the closed forms on
+    t <= m+2.
     """
     m = rootset.m
     if t_max is None:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cis import (
@@ -16,7 +17,7 @@ from cis import (
     safe_expected_exact,
 )
 from cis.cardgame import _safe_score, _shifting_score
-from cis.montecarlo import _base, _occ_tensor
+from cis.montecarlo import _base, _l1_from_occ, _occ_tensor
 from cis.rng import substream
 
 _DECK = make_word([2, 1, 1, 3, 2, 3], 2, 3)
@@ -70,6 +71,18 @@ def test_closed_scorers_match_play():
         assert _safe_score(occ)[0] == play(word, "safe").score
         assert _shifting_score(occ)[0] == play(word, "shifting").score
         assert play(word, "trivial").score == m
+
+
+def test_walk_scorers_match_play_on_every_small_deck():
+    # every S_{m,n} with at most 10^4 decks, each space stacked into one occurrence tensor
+    instances = [(m, n) for m in range(1, 9) for n in range(1, 8) if multiset_count(m, n) <= 10**4]
+    assert len(instances) > 20
+    for m, n in instances:
+        decks = list(enumerate_words(m, n))
+        occ = _occ_tensor(np.array([w.letters for w in decks], dtype=np.uint8), m, n)
+        assert _safe_score(occ).tolist() == [play(w, "safe").score for w in decks], (m, n)
+        assert _shifting_score(occ).tolist() == [play(w, "shifting").score for w in decks], (m, n)
+        assert _l1_from_occ(occ).tolist() == [l1(w) for w in decks], (m, n)
 
 
 def test_shifting_scores_at_least_l1():

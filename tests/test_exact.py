@@ -102,7 +102,10 @@ def test_series_pinned_values(m):
     assert (res.terms_used, res.truncation_bound, res.value, digest) == SERIES_PINNED[m]
     assert res.value == float(res.exact_partial_sum)
     if m <= 4:
-        assert l1_series(m, engine="hk") == res
+        # the counting engine gives the same terms
+        hk = [complete_prob(m, k, engine="hk") for k in range(1, res.terms_used + 1)]
+        assert sum(hk) == res.exact_partial_sum
+        assert float(hk[-1]) == res.truncation_bound
 
 
 def test_h_known_values():
@@ -165,7 +168,8 @@ def test_horton_kurn_h_caps_its_compositions(monkeypatch):
 
 
 def test_horton_kurn_h_caps_its_division_work(monkeypatch):
-    # (2, 20000) has only 20,001 compositions, but each divides (40000)! by l!
+    # (2, 20000) has only 20,001 compositions, but 20,001 x 40000^2 is past the cap:
+    # the Horner pass over l = 20000..40000 builds (40000)! one factor at a time
     with pytest.raises(SpaceTooLarge, match="weak compositions"):
         horton_kurn_h(2, 20000)
     # h_3(3) takes 10 compositions x 9^2 = 810 units
@@ -193,7 +197,7 @@ def test_series_caps_its_degree(monkeypatch):
         l1_series(3, max_n=res.terms_used - 1)
     # the stopping rule needs n >= 3m+3 = 12: a cap below degree 24 fails before any term
     monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 23)
-    monkeypatch.setattr(exact, "_terms", None)
+    monkeypatch.setattr(exact, "_gf_powers", None)
     with pytest.raises(SpaceTooLarge):
         l1_series(3)
 

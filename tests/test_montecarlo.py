@@ -72,6 +72,16 @@ def test_substreams_match_substream(seed):
     assert i == 3
 
 
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (3, 3), (5, 2), (4, 1)])
+def test_walk_through_a_repeated_row_takes_its_copies_in_order(m, n):
+    letters = np.stack([substream(77, i).permutation(_base(m, n)) for i in range(20)])
+    occ = _occ_tensor(letters, m, n)
+    for v in range(n):
+        assert _walk(occ, [v] * m).tolist() == [m] * 20
+        # the row has no copy left after its last
+        assert _walk(occ, [v] * (m + 1)).tolist() == [m] * 20
+
+
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 5), (3, 4), (4, 2), (2, 1), (1, 1)])
 def test_kernels_match_word_level_references(m, n, monkeypatch):
     # 61 trials: one trial per block, 7 per block (a short last block), one block
@@ -92,13 +102,13 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         return np.column_stack([
             letters, _l1_from_occ(occ), _lmax_from_occ(occ), _safe_score(occ),
             _shifting_score(occ), [_lis_from_letters(row) for row in letters],
-            *(_walk(occ, range(i - 1, n))[0] for i in range(1, n + 1)),
+            *(_walk(occ, range(i - 1, n)) for i in range(1, n + 1)),
             *(_contains_subsequence(occ, p) for p in patterns),
         ])
 
     for per_block in (1, 7, trials):
         monkeypatch.setattr(montecarlo, "_BLOCK_LETTERS", per_block * m * n)
-        got = _collect(trials, seed, [_base(m, n)], kernel, width=len(want[0]))
+        got = _collect(trials, seed, [_base(m, n)], kernel)
         assert got.tolist() == want
 
 
