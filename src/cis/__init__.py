@@ -7,7 +7,7 @@ combinatorial bounds connecting them, and simulates the partial-feedback
 card-guessing game whose scores these statistics govern.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     AlphabetViolation,

@@ -45,7 +45,7 @@ class RandomSource:
         Each call starts from the beginning of the stream, so functions
         that take a RandomSource are pure: same source, same output.
         """
-        key = [self.seed, self.stream & _MASK64]
+        key = np.array([self.seed, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -67,11 +67,9 @@ def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
     Finish drawing for trial i before asking for trial i+1.
     """
     RandomSource(seed)  # validates the seed
-    bitgen = np.random.Philox(key=[seed, 0])
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    # the key words exactly as Philox coerced [seed, 0] (seeds of 2^63 and
-    # above pass through float64, as they do in substream)
-    key = bitgen.state["state"]["key"].tolist()
+    key = [seed, 0]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},

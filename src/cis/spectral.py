@@ -15,9 +15,10 @@ That pattern is computable exactly from the coefficients of
 m! x^m E_m(1/x) via Newton's identities, which gives an algebraic oracle
 for the numeric roots that requires no trust in the root finder.
 
-Roots are found by simultaneous Aberth-Ehrlich iteration in mpmath
-arbitrary-precision arithmetic, started on a circle of radius m/2 and
-polished per root by Newton steps; every root is certified by its
+Roots are found by simultaneous Aberth-Ehrlich iteration, one sweep loop
+run in two precisions: a few sweeps in IEEE double from a circle of
+radius m/2, then mpmath sweeps at the working precision from where those
+stopped.  Each root is polished by Newton steps and certified by its
 residual |E_m(alpha_i)|.
 """
 
@@ -89,7 +90,10 @@ def inverse_power_sums_exact(m: int, t_max: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Certified zeros of E_m, sorted by (real, imaginary) part.
+    """Certified zeros of E_m, sorted by real part, then imaginary part.
+
+    The real parts are compared rounded to precision_bits // 2 fractional
+    bits, so each conjugate pair lists its lower half-plane member first.
 
     roots and residuals hold mpmath numbers carrying precision_bits of
     working precision; residuals are |E_m(alpha_i)| and every one is below
@@ -104,60 +108,132 @@ class RootSet:
 
 
 def _horner(coeffs, x):
-    acc = mp.mpc(0)
-    for c in reversed(coeffs):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
         acc = acc * x + c
     return acc
+
+
+# sweeps in a row in which the largest step does not halve its smallest
+# value so far before _aberth gives up; rounding noise at the precision
+# floor sets new minima by less than that
+_STALL_SWEEPS = 24
+# the double pass stops at this relative step, after _DOUBLE_SWEEPS sweeps,
+# or, from m = 84 on, after about _DOUBLE_PAIRS point-pair updates
+_DOUBLE_STOP = 2.0 ** -44
+_DOUBLE_SWEEPS = 20
+_DOUBLE_PAIRS = 2**17
+
+
+def _aberth(coeffs, z, stop, max_sweeps):
+    """Aberth-Ehrlich sweeps on the points z, in place.
+
+    The arithmetic is that of coeffs and z: Python floats and complex
+    numbers, or mpmath numbers at the working precision.  Each sweep moves
+    every point in turn (Gauss-Seidel order) by its Aberth step, and the
+    largest relative step of the sweep is compared with stop.
+
+    Returns (converged, sweeps): converged is True once the largest step
+    falls below stop, and False when max_sweeps run out or the largest
+    step has not set a new minimum, by a factor of two, for _STALL_SWEEPS
+    sweeps in a row.
+    """
+    m = len(z)
+    dcoeffs = coeffs[:-1]  # derivative of E_m is E_{m-1}
+    zero = 0 * z[0]
+    best = math.inf
+    since_best = 0
+    for sweep in range(1, max_sweeps + 1):
+        max_step = 0
+        for i in range(m):
+            zi = z[i]
+            pz = _horner(coeffs, zi)
+            dz = _horner(dcoeffs, zi)
+            if dz == 0:
+                z[i] = zi + (1 + abs(zi)) / 1000
+                max_step = math.inf
+                continue
+            w = pz / dz
+            s = sum([1 / (zi - zj) for zj in z[:i] + z[i + 1:]], zero)
+            denom = 1 - w * s
+            step = w if denom == 0 else w / denom
+            z[i] = zi - step
+            rel = abs(step) / max(1, abs(z[i]))
+            if rel > max_step:
+                max_step = rel
+        if max_step < stop:
+            return True, sweep
+        if max_step < best / 2:
+            best, since_best = max_step, 0
+        else:
+            since_best += 1
+            if since_best >= _STALL_SWEEPS:
+                return False, sweep
+    return False, max_sweeps
+
+
+def _double_start(m):
+    """Start points for the mpmath sweeps, from Aberth sweeps in double.
+
+    The points start on a circle of radius m/2, at an offset angle that
+    keeps the set off the real axis and asymmetric.  The coefficients are
+    1/k! rounded to floats, which is 0.0 from k = 178 on, where the
+    polynomial is cut.  The sweeps stop at a relative step of 2^-44 or
+    after min(20, 1 + 2^17 // m^2) sweeps: 20 sweeps bring every m <= 60
+    to the double floor, and past m = 65 that floor is above 2^-8, so
+    large m gets a fixed budget of point-pair updates instead.  The
+    arithmetic is plain IEEE double in the interpreter, with no numpy.
+    """
+    with mp.workprec(64):
+        radius = mp.mpf(m) / 2
+        z = [
+            complex(radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf("0.371")) / m)))
+            for k in range(m)
+        ]
+    coeffs = [1 / _fact(k) for k in range(m + 1)]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    _aberth(coeffs, z, _DOUBLE_STOP, min(_DOUBLE_SWEEPS, 1 + _DOUBLE_PAIRS // m**2))
+    return z
+
+
+def _root_key(c, bits):
+    """Sort key: real part rounded to `bits` fractional bits, then imaginary.
+
+    The real parts of a conjugate pair differ only by rounding noise, so
+    rounding them well above it makes the pair tie on the real part and
+    list its lower half-plane member first.
+    """
+    return (int(mp.nint(mp.ldexp(c.real, bits))), c.imag)
 
 
 def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     """All m zeros of E_m(x) by Aberth-Ehrlich simultaneous iteration.
 
-    Deterministic for fixed (m, precision_bits): fixed starting circle of
-    radius m/2, fixed iteration order, Newton polishing, then a sort by
-    (real, imaginary).  Raises NoConvergence if the iteration stalls or a
-    certification check fails (m distinct roots, conjugate closure,
-    residuals below tolerance).
+    The iteration runs in two precisions through the same sweep loop
+    (_aberth): first in double from a circle of radius m/2 (_double_start),
+    then in mpmath at precision_bits + 64 bits from those points, until
+    the relative step is below 2^-(precision_bits + 16).  Each root is then
+    polished by Newton steps, and the roots are sorted by real part
+    (rounded to precision_bits // 2 fractional bits) and then imaginary
+    part, so each conjugate pair lists its lower member first.
+
+    Deterministic for fixed (m, precision_bits).  Raises NoConvergence if
+    the mpmath sweeps stall or run out, or if a certification check fails
+    (m distinct roots, conjugate closure, residuals below tolerance).
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got {m}")
     if precision_bits < 24:
         raise DomainError(f"need precision_bits >= 24, got {precision_bits}")
+    start = _double_start(m)
     wp = precision_bits + 64
     with mp.workprec(wp):
         coeffs = [mp.mpf(1) / _fact(k) for k in range(m + 1)]
         dcoeffs = coeffs[:-1]  # derivative of E_m is E_{m-1}
-        radius = mp.mpf(m) / 2
-        # offset angle keeps the start set off the real axis and asymmetric
-        z = [
-            radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf("0.371")) / m))
-            for k in range(m)
-        ]
+        z = [mp.mpc(c) for c in start]
         stop = mp.mpf(2) ** (-(precision_bits + 16))
-        converged = False
-        for _ in range(200 + 10 * m):
-            max_step = mp.mpf(0)
-            for i in range(m):
-                pz = _horner(coeffs, z[i])
-                dz = _horner(dcoeffs, z[i])
-                if dz == 0:
-                    z[i] += mp.mpf("1e-3") * (1 + abs(z[i]))
-                    max_step = mp.inf
-                    continue
-                w = pz / dz
-                s = mp.mpc(0)
-                for j in range(m):
-                    if j != i:
-                        s += 1 / (z[i] - z[j])
-                denom = 1 - w * s
-                step = w if denom == 0 else w / denom
-                z[i] -= step
-                rel = abs(step) / max(mp.mpf(1), abs(z[i]))
-                if rel > max_step:
-                    max_step = rel
-            if max_step < stop:
-                converged = True
-                break
+        converged, _ = _aberth(coeffs, z, stop, 200 + 10 * m)
         if not converged:
             raise NoConvergence(f"Aberth iteration stalled for m={m} at {precision_bits} bits")
         # per-root Newton polish at full working precision
@@ -167,7 +243,7 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
                 if dz == 0:
                     break
                 z[i] -= _horner(coeffs, z[i]) / dz
-        z.sort(key=lambda c: (c.real, c.imag))
+        z.sort(key=lambda c: _root_key(c, precision_bits // 2))
         residuals = tuple(abs(_horner(coeffs, zi)) for zi in z)
         tol = mp.mpf(10) ** (-(precision_bits // 4))
         _certify(m, precision_bits, z, residuals, tol)

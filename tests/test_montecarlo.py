@@ -58,8 +58,7 @@ def _contains_reference(letters, pattern):
     return all(any(x == p for x in it) for p in pattern)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
-@pytest.mark.parametrize("seed", [20260822, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("seed", [20260822, 2**63, 2**63 + 1, 2**63 + 12345, 2**64 - 1])
 def test_substreams_match_substream(seed):
     for i, gen in enumerate(substreams(seed, 4)):
         ref = substream(seed, i)
@@ -70,6 +69,19 @@ def test_substreams_match_substream(seed):
         draws = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for g in (gen, ref)]
         assert draws[0] == draws[1]
     assert i == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_seeds_past_2_63_give_distinct_streams():
+    # the Philox key is built as uint64, so no seed passes through float64
+    seeds = [2**63, 2**63 + 1, 2**64 - 1]
+    draws = [substream(seed, 0).integers(0, 2**63, size=4).tolist() for seed in seeds]
+    assert len({tuple(d) for d in draws}) == 3
+    assert substream(0, 0).integers(0, 2**63, size=4).tolist() not in draws
+    # seeds below 2^63 keep the stream of a plain [seed, stream] key
+    for seed in (0, 1, 2**62 + 5, 2**63 - 1):
+        plain = np.random.Generator(np.random.Philox(key=[seed, 3]))
+        assert substream(seed, 3).random(4).tolist() == plain.random(4).tolist()
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (3, 3), (5, 2), (4, 1)])

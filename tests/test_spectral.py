@@ -1,8 +1,11 @@
 """Root finding, the spectral closed form, and its exact side identities."""
 
+import functools
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import workprec
 
@@ -19,6 +22,7 @@ from cis import (
     truncated_exp,
     zemyan_targets,
 )
+from cis import spectral
 
 
 def test_truncated_exp_coefficients():
@@ -131,3 +135,82 @@ def test_domain_validation():
         reciprocal_series(0, 3)
     with pytest.raises(DomainError):
         zemyan_targets(0)
+
+
+@functools.cache
+def _solve(m):
+    """find_roots(m) and the number of sweeps its mpmath stage took."""
+    sweeps = []
+    aberth = spectral._aberth
+
+    def counting(coeffs, z, stop, max_sweeps):
+        converged, n = aberth(coeffs, z, stop, max_sweeps)
+        if isinstance(z[0], mpmath.mpc):
+            sweeps.append(n)
+        return converged, n
+
+    spectral._aberth = counting
+    try:
+        rs = find_roots(m)
+    finally:
+        spectral._aberth = aberth
+    return rs, sweeps
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_mp_stage_takes_at_most_four_sweeps(m):
+    sweeps = _solve(m)[1]
+    assert len(sweeps) == 1 and sweeps[0] <= 4
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_conjugate_pairs_list_lower_half_plane_first(m):
+    roots = _solve(m)[0].roots
+    nonreal = [z for z in roots if abs(z.imag) > 1e-30]
+    assert len(nonreal) == 2 * (m // 2)
+    with workprec(128):
+        for lower, upper in zip(nonreal[::2], nonreal[1::2]):
+            assert lower.imag < 0 < upper.imag
+            assert abs(lower - mpmath.conj(upper)) < 1e-30 * (1 + abs(lower))
+    keys = [(float(z.real), float(z.imag)) for z in roots]
+    assert keys == sorted(keys, key=lambda k: (round(k[0], 9), k[1]))
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_roots_match_mpmath_polyroots(m):
+    ours = find_roots(m).roots
+    with workprec(256):
+        coeffs = [mpmath.mpf(1) / math.factorial(k) for k in reversed(range(m + 1))]
+        ref = mpmath.polyroots(coeffs, maxsteps=200, extraprec=128)
+        for z in ours:
+            assert min(abs(z - r) for r in ref) < 1e-40
+
+
+def test_find_roots_is_bitwise_repeatable():
+    for m, bits in ((7, 64), (12, 128), (20, 192)):
+        assert find_roots(m, bits) == find_roots(m, bits)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 171, 400])
+def test_double_pass_returns_finite_distinct_points(m):
+    # from m = 171 on, 1/k! is subnormal in double, and 0.0 from k = 178
+    start = time.process_time()
+    z = spectral._double_start(m)
+    assert time.process_time() - start < 1.0
+    assert len(z) == m
+    assert all(type(c) is complex and math.isfinite(c.real) and math.isfinite(c.imag) for c in z)
+    assert len(set(z)) == m
+
+
+def test_aberth_gives_up_when_the_step_stops_falling():
+    # stops below the precision floor cannot be met: the steps fall to the
+    # floor, and the sweeps end long before max_sweeps
+    z = spectral._double_start(12)
+    coeffs = [1 / math.factorial(k) for k in range(13)]
+    assert spectral._aberth(coeffs, z, 0.0, 1000)[0] is False
+    with workprec(64):
+        zm = [mpmath.mpc(c) for c in z]
+        coeffs = [mpmath.mpf(1) / math.factorial(k) for k in range(13)]
+        converged, sweeps = spectral._aberth(coeffs, zm, mpmath.mpf(2) ** -200, 1000)
+    assert not converged
+    assert sweeps <= 2 * spectral._STALL_SWEEPS
