@@ -75,6 +75,17 @@ def _fraction(f, **extra):
     return str(f), None, {**extra, "approx": float(f)}
 
 
+def _complete_prob(m, n, engine):
+    # l1 = n means 1 2 ... n is a subsequence, so Pr[l1 = n] is at most the
+    # expected number of its embeddings, m^n/n!, and the reduced denominator
+    # is at least n!/m^n: past the digit limit, fail before computing
+    limit = sys.get_int_max_str_digits()
+    if limit and m >= 1 and n >= 1 and (math.lgamma(n + 1) - n * math.log(m)) / math.log(10) > limit + 1:
+        raise SpaceTooLarge(f"the exact value's denominator, at least {n}!/{m}^{n}, has more than {limit} "
+                            "digits, past the interpreter's integer string limit")
+    return _fraction(exact.complete_prob(m, n, engine=engine), engine=engine)
+
+
 def _estimate(est, trials: int, seed: int):
     return est.mean, est.std_error, {"seed": seed, "trials": trials, "ci95": list(est.ci95)}
 
@@ -160,7 +171,7 @@ COMMANDS = (
             lambda m: (spectral.approx_l1(m), None, {}), False),
     Command(("prob-complete",), "exact probability of a complete run",
             (_M, _N, _arg("--engine", None, choices=("hk", "gf", "brute"), default="gf")),
-            lambda m, n, engine: _fraction(exact.complete_prob(m, n, engine=engine), engine=engine), True),
+            _complete_prob, True),
     Command(("roots",), "certified zeros of the truncated exponential",
             (_M, _BITS, _arg("--check-power-sums", None, action="store_true", default=False)), _roots, True),
     Command(("recip-series",), "series coefficients of sum of reciprocal zeros",

@@ -15,11 +15,11 @@ That pattern is computable exactly from the coefficients of
 m! x^m E_m(1/x) via Newton's identities, which gives an algebraic oracle
 for the numeric roots that requires no trust in the root finder.
 
-Roots are found by simultaneous Aberth-Ehrlich iteration, one sweep loop
-run in two precisions: a few sweeps in IEEE double from a circle of
-radius m/2, then mpmath sweeps at the working precision from where those
-stopped.  Each root is polished by Newton steps and certified by its
-residual |E_m(alpha_i)|.
+Roots are found by simultaneous Aberth-Ehrlich iteration in two
+arithmetics: a few sweeps in IEEE double from a circle of radius m/2,
+then sweeps on fixed-point Gaussian integers at the working precision
+from where those stopped, on the integer polynomial m! E_m.  Each root is
+certified by its residual |E_m(alpha_i)|, evaluated in mpmath.
 """
 
 from __future__ import annotations
@@ -95,9 +95,11 @@ class RootSet:
     The real parts are compared rounded to precision_bits // 2 fractional
     bits, so each conjugate pair lists its lower half-plane member first.
 
-    roots and residuals hold mpmath numbers carrying precision_bits of
-    working precision; residuals are |E_m(alpha_i)| and every one is below
-    tolerance (10^(-precision_bits/4)), otherwise construction fails.
+    roots are the fixed-point points the iteration stopped at, with
+    precision_bits + 64 fractional bits, as exact mpmath numbers.
+    residuals are |E_m(alpha_i)|, evaluated in mpmath at that working
+    precision, and every one is below tolerance (10^(-precision_bits/4)),
+    otherwise construction fails.
     """
 
     m: int
@@ -115,8 +117,8 @@ def _horner(coeffs, x):
 
 
 # sweeps in a row in which the largest step does not halve its smallest
-# value so far before _aberth gives up; rounding noise at the precision
-# floor sets new minima by less than that
+# value so far before a sweep loop gives up; rounding noise at the
+# precision floor sets new minima by less than that
 _STALL_SWEEPS = 24
 # the double pass stops at this relative step, after _DOUBLE_SWEEPS sweeps,
 # or, from m = 84 on, after about _DOUBLE_PAIRS point-pair updates
@@ -126,12 +128,12 @@ _DOUBLE_PAIRS = 2**17
 
 
 def _aberth(coeffs, z, stop, max_sweeps):
-    """Aberth-Ehrlich sweeps on the points z, in place.
+    """Aberth-Ehrlich sweeps in IEEE double on the complex points z, in place.
 
-    The arithmetic is that of coeffs and z: Python floats and complex
-    numbers, or mpmath numbers at the working precision.  Each sweep moves
-    every point in turn (Gauss-Seidel order) by its Aberth step, and the
-    largest relative step of the sweep is compared with stop.
+    coeffs are the floats of a polynomial, constant term first.  Each
+    sweep moves every point in turn (Gauss-Seidel order) by its Aberth
+    step, and the largest relative step of the sweep is compared with
+    stop.
 
     Returns (converged, sweeps): converged is True once the largest step
     falls below stop, and False when max_sweeps run out or the largest
@@ -140,7 +142,6 @@ def _aberth(coeffs, z, stop, max_sweeps):
     """
     m = len(z)
     dcoeffs = coeffs[:-1]  # derivative of E_m is E_{m-1}
-    zero = 0 * z[0]
     best = math.inf
     since_best = 0
     for sweep in range(1, max_sweeps + 1):
@@ -154,7 +155,7 @@ def _aberth(coeffs, z, stop, max_sweeps):
                 max_step = math.inf
                 continue
             w = pz / dz
-            s = sum([1 / (zi - zj) for zj in z[:i] + z[i + 1:]], zero)
+            s = sum([1 / (zi - zj) for zj in z[:i] + z[i + 1:]], 0j)
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
             z[i] = zi - step
@@ -173,7 +174,7 @@ def _aberth(coeffs, z, stop, max_sweeps):
 
 
 def _double_start(m):
-    """Start points for the mpmath sweeps, from Aberth sweeps in double.
+    """Start points for the integer sweeps, from Aberth sweeps in double.
 
     The points start on a circle of radius m/2, at an offset angle that
     keeps the set off the real axis and asymmetric.  The coefficients are
@@ -197,6 +198,100 @@ def _double_start(m):
     return z
 
 
+def _to_fixed(v, p):
+    """floor(v 2^p) for a float v, exactly."""
+    num, den = v.as_integer_ratio()
+    return (num << p) // den
+
+
+def _horner_fixed(cs, x, y, p):
+    """P'(z) and P(z) at z = (x + iy)/2^p, as (re P', im P', re P, im P).
+
+    P = m! E_m has the integer coefficients a_k = m!/k!, and a_m = 1, so
+    P' = sum_{j<m} a_j z^j and P = P' + z^m.  cs holds a_0 .. a_(m-1),
+    each shifted left by p.  P' is one Horner pass and z^m is taken by
+    repeated squaring; every product is floored to p fractional bits, so
+    the results are in the same fixed point as z.
+    """
+    ar, ai = cs[-1], 0
+    for c in cs[-2::-1]:
+        ar, ai = ((ar * x - ai * y) >> p) + c, (ar * y + ai * x) >> p
+    rr, ri = 1 << p, 0
+    k = len(cs)
+    while True:
+        if k & 1:
+            rr, ri = (rr * x - ri * y) >> p, (rr * y + ri * x) >> p
+        k >>= 1
+        if not k:
+            return ar, ai, ar + rr, ai + ri
+        x, y = (x * x - y * y) >> p, (x * y) >> (p - 1)
+
+
+def _aberth_fixed(cs, xs, ys, p, stop_bits, max_sweeps):
+    """Aberth-Ehrlich sweeps on the points (xs[i] + i ys[i])/2^p, in place.
+
+    The sweep of _aberth, run on Python ints: the polynomial is m! E_m
+    (_horner_fixed), and every quotient is a floor division by a squared
+    modulus.  A step's size relative to max(1, |z|) is bounded by bit
+    lengths: it is below 2^e, with
+
+        e = bitlen(max(|re step|, |im step|)) - bitlen(max(|x|, |y|, 2^p)) + 2,
+
+    and the sweeps have converged once the largest e of a sweep is at most
+    -stop_bits.  The stall rule is that of _aberth, with a halving of the
+    step read as a fall of e by one.
+
+    Returns (converged, sweeps) as _aberth does.
+    """
+    m = len(xs)
+    one, p3 = 1 << p, 3 * p
+    best = math.inf
+    since_best = 0
+    for sweep in range(1, max_sweeps + 1):
+        worst = -math.inf
+        for i in range(m):
+            xi, yi = xs[i], ys[i]
+            dr, di, pr, pi = _horner_fixed(cs, xi, yi, p)
+            norm = dr * dr + di * di
+            if norm == 0:
+                xs[i] = xi + (one + math.isqrt(xi * xi + yi * yi)) // 1000
+                worst = math.inf
+                continue
+            # w = P/P' and s = sum_{j != i} 1/(z_i - z_j)
+            wr = ((pr * dr + pi * di) << p) // norm
+            wi = ((pi * dr - pr * di) << p) // norm
+            sr = si = 0
+            for j in range(m):
+                if j != i:
+                    ex, ey = xi - xs[j], yi - ys[j]
+                    inv = (1 << p3) // (ex * ex + ey * ey)
+                    sr += ex * inv
+                    si -= ey * inv
+            sr >>= p
+            si >>= p
+            # step = w / (1 - w s)
+            tr = one - ((wr * sr - wi * si) >> p)
+            ti = -((wr * si + wi * sr) >> p)
+            norm = tr * tr + ti * ti
+            if norm:
+                wr, wi = ((wr * tr + wi * ti) << p) // norm, ((wi * tr - wr * ti) << p) // norm
+            xi -= wr
+            yi -= wi
+            xs[i], ys[i] = xi, yi
+            e = max(abs(wr), abs(wi)).bit_length() - max(abs(xi), abs(yi), one).bit_length() + 2
+            if e > worst:
+                worst = e
+        if worst <= -stop_bits:
+            return True, sweep
+        if worst <= best - 1:
+            best, since_best = worst, 0
+        else:
+            since_best += 1
+            if since_best >= _STALL_SWEEPS:
+                return False, sweep
+    return False, max_sweeps
+
+
 def _root_key(c, bits):
     """Sort key: real part rounded to `bits` fractional bits, then imaginary.
 
@@ -210,16 +305,17 @@ def _root_key(c, bits):
 def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     """All m zeros of E_m(x) by Aberth-Ehrlich simultaneous iteration.
 
-    The iteration runs in two precisions through the same sweep loop
-    (_aberth): first in double from a circle of radius m/2 (_double_start),
-    then in mpmath at precision_bits + 64 bits from those points, until
-    the relative step is below 2^-(precision_bits + 16).  Each root is then
-    polished by Newton steps, and the roots are sorted by real part
+    The iteration runs in two arithmetics: first in double from a circle
+    of radius m/2 (_double_start), then from those points on fixed-point
+    Gaussian integers with p = precision_bits + 64 fractional bits
+    (_aberth_fixed), until the relative step is below
+    2^-(precision_bits + 16).  The roots are then sorted by real part
     (rounded to precision_bits // 2 fractional bits) and then imaginary
-    part, so each conjugate pair lists its lower member first.
+    part, so each conjugate pair lists its lower member first.  mpmath,
+    as a second arithmetic, evaluates the residuals |E_m(alpha_i)|.
 
     Deterministic for fixed (m, precision_bits).  Raises NoConvergence if
-    the mpmath sweeps stall or run out, or if a certification check fails
+    the integer sweeps stall or run out, or if a certification check fails
     (m distinct roots, conjugate closure, residuals below tolerance).
     """
     if m < 1:
@@ -227,56 +323,69 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     if precision_bits < 24:
         raise DomainError(f"need precision_bits >= 24, got {precision_bits}")
     start = _double_start(m)
-    wp = precision_bits + 64
-    with mp.workprec(wp):
-        coeffs = [mp.mpf(1) / _fact(k) for k in range(m + 1)]
-        dcoeffs = coeffs[:-1]  # derivative of E_m is E_{m-1}
-        z = [mp.mpc(c) for c in start]
-        stop = mp.mpf(2) ** (-(precision_bits + 16))
-        converged, _ = _aberth(coeffs, z, stop, 200 + 10 * m)
-        if not converged:
-            raise NoConvergence(f"Aberth iteration stalled for m={m} at {precision_bits} bits")
-        # per-root Newton polish at full working precision
-        for i in range(m):
-            for _ in range(4):
-                dz = _horner(dcoeffs, z[i])
-                if dz == 0:
-                    break
-                z[i] -= _horner(coeffs, z[i]) / dz
-        z.sort(key=lambda c: _root_key(c, precision_bits // 2))
-        residuals = tuple(abs(_horner(coeffs, zi)) for zi in z)
+    p = precision_bits + 64
+    fm = _fact(m)
+    cs = [fm // _fact(k) << p for k in range(m)]
+    xs = [_to_fixed(c.real, p) for c in start]
+    ys = [_to_fixed(c.imag, p) for c in start]
+    converged, _ = _aberth_fixed(cs, xs, ys, p, precision_bits + 16, 200 + 10 * m)
+    if not converged:
+        raise NoConvergence(f"Aberth iteration stalled for m={m} at {precision_bits} bits")
+    # at a precision that holds every coordinate exactly
+    with mp.workprec(max(abs(v).bit_length() for v in xs + ys) + 1):
+        z = [mp.mpc(mp.mpf((x, -p)), mp.mpf((y, -p))) for x, y in zip(xs, ys)]
+    with mp.workprec(p):
+        order = sorted(range(m), key=lambda i: _root_key(z[i], precision_bits // 2))
+        z = [z[i] for i in order]
+        residuals = _residuals(m, z)
         tol = mp.mpf(10) ** (-(precision_bits // 4))
-        _certify(m, precision_bits, z, residuals, tol)
-        return RootSet(
-            m=m,
-            precision_bits=precision_bits,
-            roots=tuple(z),
-            residuals=residuals,
-            tolerance=float(tol),
-        )
+        _certify(m, precision_bits, list(zip(xs, ys)), p, residuals, tol)
+    return RootSet(
+        m=m,
+        precision_bits=precision_bits,
+        roots=tuple(z),
+        residuals=residuals,
+        tolerance=float(tol),
+    )
 
 
-def _certify(m, precision_bits, roots, residuals, tol):
-    """Root-set invariants; failure means the precision was insufficient."""
-    if len(roots) != m:
-        raise NoConvergence(f"expected {m} roots, got {len(roots)}")
+def _residuals(m, roots):
+    """|E_m(alpha)| for each root, in mpmath at the current working precision."""
+    coeffs = [mp.mpf(1) / _fact(k) for k in range(m + 1)]
+    return tuple(abs(_horner(coeffs, a)) for a in roots)
+
+
+def _certify(m, precision_bits, points, p, residuals, tol):
+    """Root-set invariants; failure means the precision was insufficient.
+
+    residuals are mpmath numbers.  Distinctness and conjugate closure are
+    checked on the fixed-point points (x, y), of value (x + iy)/2^p, in
+    integers: squared distances are compared with squared thresholds, and
+    |r| enters the closure test as a floor square root.
+    """
+    if len(points) != m:
+        raise NoConvergence(f"expected {m} roots, got {len(points)}")
     worst = max(residuals)
     if worst >= tol:
         raise NoConvergence(
             f"residual {mp.nstr(worst, 8)} exceeds certification tolerance for m={m}"
         )
-    min_dist = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = abs(roots[i] - roots[j])
-            if min_dist is None or d < min_dist:
-                min_dist = d
-    if m > 1 and min_dist <= 1e-6 * m:
-        raise NoConvergence(f"roots of E_{m} not pairwise distinct at this precision")
-    match_tol = mp.mpf(10) ** (-(precision_bits // 8))
-    for r in roots:
-        if abs(r.imag) > match_tol:
-            if not any(abs(mp.conj(r) - s) < match_tol * (1 + abs(r)) for s in roots):
+    if m > 1:
+        # min |r_i - r_j| <= 1e-6 m, as an exact inequality of squares
+        num, den = (1e-6 * m).as_integer_ratio()
+        closest = min(
+            (xi - xj) ** 2 + (yi - yj) ** 2
+            for i, (xi, yi) in enumerate(points)
+            for xj, yj in points[i + 1:]
+        )
+        if closest * den**2 <= (num << p) ** 2:
+            raise NoConvergence(f"roots of E_{m} not pairwise distinct at this precision")
+    # |im r| > 10^-k needs some s with |conj(r) - s| < 10^-k (1 + |r|)
+    scale = 10 ** (precision_bits // 8)
+    for x, y in points:
+        if abs(y) * scale > 1 << p:
+            reach = ((1 << p) + math.isqrt(x * x + y * y)) ** 2
+            if not any(((x - sx) ** 2 + (y + sy) ** 2) * scale**2 < reach for sx, sy in points):
                 raise NoConvergence(f"root set of E_{m} is not closed under conjugation")
 
 

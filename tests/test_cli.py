@@ -193,6 +193,18 @@ def test_exact_value_past_the_digit_limit_exits_4(run_cli, capsys, engine):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("engine", ["gf", "hk", "brute"])
+def test_value_surely_past_the_digit_limit_exits_4_before_computing(run_cli, capsys, engine):
+    # Pr[l1 = n] <= m^n/n!, so 1/1000000! is known to be past the limit from lgamma alone
+    start = time.perf_counter()
+    code, out = run_cli("prob-complete", "--m", "1", "--n", "1000000", "--engine", engine)
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exact_integer_in_meta_past_the_digit_limit_exits_4_in_every_format(run_cli, capsys):
     # C(100000, 50000) has 30,101 digits
     errors = []

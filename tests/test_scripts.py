@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from cis import spectral
+
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -27,3 +29,18 @@ def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
     assert (record["m"], record["n"], record["trials"], record["kernel"]) == (2, 50, 4, kernel)
     assert set(record["ms_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
+
+
+def test_root_stages_prints_one_line_of_stage_times(capsys):
+    root_stages = _load("root_stages")
+    root_stages.main(["--m", "6", "--bits", "64", "--repeat", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert (record["m"], record["bits"], record["repeat"]) == (6, 64, 2)
+    assert 1 <= record["sweeps"] <= 4
+    stages = {"double", "sweeps", "residuals", "certify", "other", "power_sums", "find_roots"}
+    assert set(record["ms"]) == stages
+    assert all(record["ms"][s] >= 0 for s in stages - {"other"})
+    # the stage functions are restored
+    assert spectral._aberth_fixed.__module__ == "cis.spectral"

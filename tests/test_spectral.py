@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -139,26 +140,26 @@ def test_domain_validation():
 
 @functools.cache
 def _solve(m):
-    """find_roots(m) and the number of sweeps its mpmath stage took."""
+    """find_roots(m) and the number of sweeps its integer stage took."""
     sweeps = []
-    aberth = spectral._aberth
+    aberth = spectral._aberth_fixed
 
-    def counting(coeffs, z, stop, max_sweeps):
-        converged, n = aberth(coeffs, z, stop, max_sweeps)
-        if isinstance(z[0], mpmath.mpc):
-            sweeps.append(n)
+    def counting(*args):
+        converged, n = aberth(*args)
+        sweeps.append(n)
         return converged, n
 
-    spectral._aberth = counting
+    spectral._aberth_fixed = counting
     try:
         rs = find_roots(m)
     finally:
-        spectral._aberth = aberth
+        spectral._aberth_fixed = aberth
     return rs, sweeps
 
 
 @pytest.mark.parametrize("m", range(1, 41))
 def test_mp_stage_takes_at_most_four_sweeps(m):
+    # the multiprecision stage is the fixed-point integer one
     sweeps = _solve(m)[1]
     assert len(sweeps) == 1 and sweeps[0] <= 4
 
@@ -208,9 +209,48 @@ def test_aberth_gives_up_when_the_step_stops_falling():
     z = spectral._double_start(12)
     coeffs = [1 / math.factorial(k) for k in range(13)]
     assert spectral._aberth(coeffs, z, 0.0, 1000)[0] is False
-    with workprec(64):
-        zm = [mpmath.mpc(c) for c in z]
-        coeffs = [mpmath.mpf(1) / math.factorial(k) for k in range(13)]
-        converged, sweeps = spectral._aberth(coeffs, zm, mpmath.mpf(2) ** -200, 1000)
+    # the same in fixed point on a 2^-64 grid, with a stop of 2^-200
+    p = 64
+    xs = [spectral._to_fixed(c.real, p) for c in z]
+    ys = [spectral._to_fixed(c.imag, p) for c in z]
+    cs = [math.factorial(12) // math.factorial(k) << p for k in range(12)]
+    converged, sweeps = spectral._aberth_fixed(cs, xs, ys, p, 200, 1000)
     assert not converged
     assert sweeps <= 2 * spectral._STALL_SWEEPS
+
+
+def test_fixed_point_horner_matches_mpmath():
+    # P = m! E_m and P' = m! E_(m-1) at random points, against 256-bit
+    # mpmath.  Every floored product is off by at most one unit of 2^-p in
+    # each part.  The m Horner products are then multiplied by at most
+    # M^m, M = max(1, |z|), and each of the 2 bitlen(m) products that make
+    # z^m by at most 4m M^m, so the error is below 16 m bitlen(m) M^m 2^-p
+    rng = random.Random(5)
+    p = 96
+    for m in (1, 2, 7, 20, 40):
+        cs = [math.factorial(m) // math.factorial(k) << p for k in range(m)]
+        for _ in range(10):
+            z = complex(rng.uniform(-m, m), rng.uniform(-m, m))
+            x, y = spectral._to_fixed(z.real, p), spectral._to_fixed(z.imag, p)
+            dr, di, pr, pi = spectral._horner_fixed(cs, x, y, p)
+            with workprec(256):
+                zm = mpmath.mpc(mpmath.mpf((x, -p)), mpmath.mpf((y, -p)))
+                coeffs = [mpmath.mpf(math.factorial(m)) / math.factorial(k) for k in range(m + 1)]
+                ref_d = spectral._horner(coeffs[:-1], zm)
+                ref_p = spectral._horner(coeffs, zm)
+                bound = 16 * m * m.bit_length() * max(1, abs(zm)) ** m * mpmath.mpf(2) ** -p
+                err_d = abs(mpmath.mpc(mpmath.mpf((dr, -p)), mpmath.mpf((di, -p))) - ref_d)
+                err_p = abs(mpmath.mpc(mpmath.mpf((pr, -p)), mpmath.mpf((pi, -p))) - ref_p)
+                assert err_d <= bound and err_p <= bound
+                assert bound < 1e-12 * abs(ref_d)  # the bound is not vacuous
+
+
+@pytest.mark.parametrize("m", [69, 70])
+def test_find_roots_certifies_m69_and_m70(m):
+    start = time.process_time()
+    rs = find_roots(m)
+    assert time.process_time() - start < 5.0
+    assert len(rs.roots) == m
+    assert max(rs.residuals) < rs.tolerance
+    report = power_sum_check(rs)
+    assert report.max_deviation < 1e-20
