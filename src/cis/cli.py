@@ -27,6 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import mpmath as mp
+
 from . import __version__, bounds, cardgame, exact, montecarlo, spectral
 from .cache import cache_get, cache_put
 from .errors import NoConvergence, SpaceTooLarge
@@ -56,6 +58,12 @@ def _arg(flag: str, type=int, **kw) -> tuple[str, str, dict]:
 def _finite(x):
     """JSON has no infinity: a non-finite float is written as its string."""
     return str(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _double(x):
+    """An mpmath number as a float, or as its decimal string where a nonzero value underflows a double."""
+    f = float(x)
+    return mp.nstr(x, 17) if x and abs(f) < sys.float_info.min else f
 
 
 def _fields(obj, value: str, *names: str, **extra):
@@ -92,7 +100,7 @@ def _estimate(est, trials: int, seed: int):
 
 def _roots(m, bits, check_power_sums):
     rs = spectral.find_roots(m, precision_bits=bits)
-    meta = {"bits": bits, "max_residual": float(max(rs.residuals)), "tolerance": rs.tolerance}
+    meta = {"bits": bits, "max_residual": _double(max(rs.residuals)), "tolerance": _double(rs.tolerance)}
     if check_power_sums:
         dev = spectral.power_sum_check(rs).max_deviation
         meta.update(power_sum_max_deviation=dev, power_sums_ok=dev < 1e-9)

@@ -5,16 +5,22 @@ fills a preallocated value array in trial order, and reduces it with
 fixed-shape numpy operations, so a seed fixes every statistic bitwise.
 
 Trials run in blocks.  One generator is re-keyed to (seed, i) for each
-trial (rng.substreams) and shuffles a copy of each base word into row i
-of a (T, len) block, drawing exactly what gen.permutation(base) would.
-Blocks hold about _BLOCK_LETTERS letters and at least one trial.
+trial (rng.substreams) and shuffles a copy of each base (_base) into
+row i of a (T, len) block, drawing exactly what gen.permutation(base)
+would.  Blocks hold about _BLOCK_LETTERS letters and at least one trial.
+_base refuses words longer than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
-positions of value v in word t in increasing order, from a stable argsort
-along the rows.  numpy radix-sorts 8- and 16-bit keys but falls back to a
-comparison sort for wider ones, so letters past 2^16 (n >= 2^16) are
-sorted in stable 16-bit passes, low digit first (_occ_tensor).  l1,
+positions of value v in word t in increasing order (_occ_tensor).  For
+n < 2^16 the letters fit 16 bits, and one stable argsort along the rows,
+which numpy radix-sorts, gives occ.  Wider keys would take a comparison
+sort, so for n >= 2^16 each trial shuffles the labels 0..mn-1 instead of
+the sorted word, label s standing for letter s // m + 1.  The shuffle
+draws the same whatever the array holds, so this is the same word, and
+occ is the inverse permutation: one scatter occ.flat[label] = position,
+then each row's m positions put in order by a sorting network (by
+numpy's sort past m = 4).  l1,
 pattern containment and the safe and shifting card-game players are each
 one greedy walk through a sequence of rows of occ (_walk), which returns
 the number of rows matched; a row may repeat, and then gives its next
@@ -41,18 +47,39 @@ from .rng import substreams
 
 _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
 _RANK_COLUMNS = 4  # widest rows that _rank sums column by column
+_MAX_LETTERS = 10**8  # longest word a trial may sample
+_WIDE_N = 1 << 16  # from this n on, trials shuffle labels, not letters
+# comparators (i, j) that put columns i < j of rows of m entries in order;
+# numpy's sort along so short an axis costs 2-3x as much as the network
+_SORT_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+                  4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 
 def _base(m: int, n: int) -> np.ndarray:
-    """The sorted word 1^m 2^m ... n^m that each trial shuffles."""
+    """What each trial shuffles into a word of S_{m,n}.
+
+    For n < 2^16 that is the sorted word 1^m 2^m ... n^m.  For n >= 2^16
+    it is the labels 0..mn-1, label s standing for letter s // m + 1
+    (_letters): the shuffle draws the same whatever the array holds, so
+    the word is the same.  SpaceTooLarge past _MAX_LETTERS letters.
+    """
+    if m * n > _MAX_LETTERS:
+        raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
+    if n >= _WIDE_N:
+        return _small_range(0, m * n)
     return np.repeat(_small_range(1, n + 1), m)
+
+
+def _letters(block: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The words of a block of shuffled _base(m, n) rows."""
+    return block // m + 1 if n >= _WIDE_N else block
 
 
 def _small_range(start: int, stop: int) -> np.ndarray:
     # the smallest unsigned dtype that holds the values: the shuffle draws
     # the same whatever the dtype, and the stable argsort radix-sorts 8- and
-    # 16-bit keys, several times faster than wider ones (which _occ_tensor
-    # sorts as 16-bit digits)
+    # 16-bit keys, several times faster than wider ones (which no word
+    # needs: from n = 2^16 on, _occ_tensor scatters labels instead)
     return np.arange(start, stop, dtype=np.min_scalar_type(stop))
 
 
@@ -66,7 +93,7 @@ def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable) 
 
     Trial i shuffles a copy of each base, in order, with the stream keyed
     by (seed, i).  kernel(*blocks) maps the (T, len(base)) blocks of
-    shuffled words to the T trials' values, shape (T,) or (T, width); the
+    shuffled bases to the T trials' values, shape (T,) or (T, width); the
     first block's values fix the width.
     """
     _check_trials(trials)
@@ -89,7 +116,7 @@ def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable) 
 
 def _occ_values(m: int, n: int, trials: int, seed: int, kernel: Callable) -> np.ndarray:
     """_collect over words of S_{m,n}, with kernel applied to each block's occurrence tensor."""
-    return _collect(trials, seed, [_base(m, n)], lambda letters: kernel(_occ_tensor(letters, m, n)))
+    return _collect(trials, seed, [_base(m, n)], lambda block: kernel(_occ_tensor(block, m, n)))
 
 
 @dataclass(frozen=True)
@@ -115,19 +142,32 @@ def _check_mn(m: int, n: int) -> None:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
 
-def _occ_tensor(letters: np.ndarray, m: int, n: int) -> np.ndarray:
-    # a stable argsort groups equal values and keeps positions increasing.
-    # Letters wider than 16 bits (values are positive) are sorted one 16-bit
-    # digit at a time, low digit first, each pass a stable (radix) argsort
-    # of the next digits in the order so far; a stable sort is unique, so
-    # the order is the one-pass sort's
-    if letters.dtype.itemsize <= 2:
-        return np.argsort(letters, axis=1, kind="stable").reshape(-1, n, m)
-    order = np.argsort(letters.astype(np.uint16), axis=1, kind="stable")
-    for shift in range(16, int(letters.max()).bit_length(), 16):
-        digits = (np.take_along_axis(letters, order, axis=1) >> shift).astype(np.uint16)
-        order = np.take_along_axis(order, np.argsort(digits, axis=1, kind="stable"), axis=1)
-    return order.reshape(-1, n, m)
+def _occ_tensor(block: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The (T, n, m) occurrence tensor of a block of shuffled _base(m, n) rows.
+
+    For n < 2^16 the rows are words, and a stable argsort groups equal
+    values and keeps positions increasing; uint32 letters below 2^16 (as
+    obs2's projected labels) are cast to 16 bits for numpy's radix sort.
+    For n >= 2^16 the rows are labels: occ is the inverse permutation,
+    int32 (mn <= 10^8), with each row's m positions then put in order.
+    """
+    if n < _WIDE_N:
+        keys = block.astype(np.uint16) if block.dtype.itemsize > 2 else block
+        return np.argsort(keys, axis=1, kind="stable").reshape(-1, n, m)
+    occ = np.empty(block.shape, dtype=np.int32)
+    positions = np.arange(m * n, dtype=np.int32)
+    for row, labels in zip(occ, block):
+        row[labels] = positions
+    occ = occ.reshape(-1, n, m)
+    if m in _SORT_NETWORKS:
+        low = np.empty(occ.shape[:2], dtype=occ.dtype)
+        for i, j in _SORT_NETWORKS[m]:
+            np.minimum(occ[..., i], occ[..., j], out=low)
+            np.maximum(occ[..., i], occ[..., j], out=occ[..., j])
+            occ[..., i] = low
+    elif m > 1:
+        occ.sort(axis=2)
+    return occ
 
 
 def _rank(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -228,8 +268,6 @@ def estimate_l1(m: int, n: int, trials: int, seed: int) -> Estimate:
 def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the best run over all starting values."""
     _check_mn(m, n)
-    if m * n > 10**8:
-        raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
 
     values = _occ_values(m, n, trials, seed, _lmax_from_occ)
     return Estimate.from_values(values, seed)
@@ -240,7 +278,7 @@ def estimate_lis(m: int, n: int, trials: int, seed: int) -> Estimate:
     _check_mn(m, n)
 
     values = _collect(trials, seed, [_base(m, n)],
-                      lambda letters: [_lis_from_letters(row) for row in letters])
+                      lambda block: [_lis_from_letters(row) for row in _letters(block, m, n)])
     return Estimate.from_values(values, seed)
 
 
@@ -368,7 +406,9 @@ class Obs2Report:
 
     freq_multiset samples words from S_{m,n} directly; freq_labeled
     permutes m*n distinct labeled cards and projects label s to value
-    s // m + 1.  Both must agree: the projection is uniform.
+    s // m + 1.  Both must agree: the projection is uniform.  For
+    n >= 2^16 the multiset branch shuffles labels too (_base), which
+    draws the same word as shuffling 1^m 2^m ... n^m.
     """
 
     m: int
@@ -395,7 +435,9 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
 
     def kernel(pi, labels):
         direct = _contains_subsequence(_occ_tensor(pi, m, n), w)
-        projected = _contains_subsequence(_occ_tensor(labels // m + 1, m, n), w)
+        # from n = 2^16 on, _occ_tensor takes the labels themselves
+        projected = _contains_subsequence(
+            _occ_tensor(labels if n >= _WIDE_N else labels // m + 1, m, n), w)
         return np.stack([direct, projected], axis=1)
 
     values = _collect(trials, seed, [_base(m, n), _small_range(0, m * n)], kernel)

@@ -98,7 +98,9 @@ class RootSet:
     roots are the fixed-point points the iteration stopped at, with
     precision_bits + 64 fractional bits, as exact mpmath numbers.
     residuals are |E_m(alpha_i)|, evaluated in mpmath at that working
-    precision, and every one is below tolerance (10^(-precision_bits/4)),
+    precision, and every one is below tolerance (10^(-precision_bits/4),
+    also an mpmath number: from 1232 bits on it is below the normal
+    double range),
     otherwise construction fails.
     """
 
@@ -106,7 +108,7 @@ class RootSet:
     precision_bits: int
     roots: tuple
     residuals: tuple
-    tolerance: float
+    tolerance: mp.mpf
 
 
 def _horner(coeffs, x):
@@ -345,7 +347,7 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
         precision_bits=precision_bits,
         roots=tuple(z),
         residuals=residuals,
-        tolerance=float(tol),
+        tolerance=tol,
     )
 
 

@@ -4,9 +4,10 @@ import json
 import math
 import time
 
+import mpmath as mp
 import pytest
 
-from cis import cli
+from cis import cli, montecarlo
 
 
 def test_prob_complete_json_record(run_cli):
@@ -104,6 +105,25 @@ def test_space_too_large_exits_4(run_cli):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("mc", "l1"), ("mc", "lmax"), ("mc", "lis"), ("mc", "moments"), ("mc", "obs1", "--k", "2"),
+    ("mc", "obs2", "--pattern", "1,2"), ("cardgame", "--strategy", "safe"),
+    ("cardgame", "--strategy", "shifting"),
+])
+@pytest.mark.parametrize("m,n", [(1, 3_000_000_000), (200_000_000, 2)])
+def test_every_sampled_word_past_the_length_cap_exits_4(run_cli, capsys, monkeypatch, argv, m, n):
+    # words are allocated through _small_range; a missing cap fails here at
+    # once, with exit 5, instead of asking for gigabytes
+    def no_allocation(start, stop):
+        raise AssertionError(f"allocated {stop - start} letters")
+
+    monkeypatch.setattr(montecarlo, "_small_range", no_allocation)
+    code, out = run_cli(*argv, "--m", str(m), "--n", str(n), "--trials", "2", "--seed", "1")
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err == f"error: word length m*n = {m * n} exceeds 10^8 per trial\n"
+
+
 def test_moments_csv_layout(run_cli):
     code, out = run_cli(
         "mc", "moments", "--m", "2", "--n", "10", "--trials", "128",
@@ -148,6 +168,16 @@ def test_roots_power_sum_check(run_cli):
     assert len(rec["value"]) == 3
     assert rec["meta"]["power_sums_ok"] is True
     assert rec["meta"]["power_sum_max_deviation"] < 1e-9
+
+
+def test_root_certificate_past_the_double_range_is_a_decimal_string(run_cli):
+    # 10^-1024 underflows a double; the record must not read 0.0 under 0.0
+    code, out = run_cli("roots", "--m", "3", "--bits", "4096")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta["tolerance"] == "1.0e-1024"
+    residual = mp.mpf(meta["max_residual"])
+    assert 0 < residual < mp.mpf(10) ** -1024
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,7 @@ from cis.montecarlo import (
     _collect,
     _contains_subsequence,
     _l1_from_occ,
+    _letters,
     _lis_from_letters,
     _lmax_from_occ,
     _occ_tensor,
@@ -124,15 +125,30 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         assert got.tolist() == want
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [70_000, 3_000])
 def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
-    # n >= 2^16 needs uint32 letters, which take two 16-bit radix passes;
-    # uint32 letters below 2^16 (as obs2's projected labels) take one
-    letters = np.stack([np.random.default_rng(seed).permutation(_base(m, n)) for seed in range(3)])
-    letters = letters.astype(np.uint32)
+    # n >= 2^16 needs uint32 letters, so trials shuffle uint32 labels, which
+    # are scattered and each row put in order (a sorting network up to m = 4);
+    # uint32 letters below 2^16 (as obs2's projected labels) take one radix sort
+    block = np.stack([np.random.default_rng(seed).permutation(_base(m, n)) for seed in range(3)])
+    block = block.astype(np.uint32)
+    letters = _letters(block, m, n)
     want = np.argsort(letters.astype(np.int64), axis=1, kind="stable").reshape(-1, n, m)
-    assert np.array_equal(_occ_tensor(letters, m, n), want)
+    assert np.array_equal(_occ_tensor(block, m, n), want)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_shuffled_labels_give_the_word_the_sorted_word_shuffles_into(m):
+    # the shuffle draws the same whatever the array holds, so a trial that
+    # shuffles the labels 0..mn-1 samples the same word, label s for s // m + 1
+    n, trials, seed = 70_000, 3, 41
+    labels = _base(m, n)
+    assert labels.dtype == np.uint32 and labels.tolist() == list(range(m * n))
+    word = np.repeat(np.arange(1, n + 1, dtype=np.uint32), m)
+    got = _collect(trials, seed, [labels], lambda block: _letters(block, m, n))
+    want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -202,8 +218,21 @@ def test_seeded_outputs_are_pinned():
     assert pair(expected_score(2, 8, "safe", 300, seed=7)) == (
         2.7533333333333334, 0.05780707029801792)
     assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.46, 0.06530265700768306)
-    # n >= 2^16: 32-bit letters and the two-pass radix sort
+    # n >= 2^16: trials shuffle 32-bit labels, and occ is their scatter
     assert pair(estimate_lmax(2, 70000, 3, seed=1)) == (10.333333333333334, 0.3333333333333333)
+    assert pair(estimate_lmax(1, 70000, 6, seed=3)) == (8.166666666666666, 0.16666666666666669)
+    assert pair(estimate_lmax(3, 70000, 4, seed=3)) == (12.75, 0.47871355387816905)
+    assert pair(estimate_l1(2, 70000, 12, seed=3)) == (2.3333333333333335, 0.4143877070053741)
+    assert pair(estimate_lis(1, 70000, 2, seed=3)) == (517.5, 2.5)
+    assert pair(expected_score(2, 70000, "safe", 12, seed=3)) == (2.5, 0.2886751345948129)
+    assert pair(expected_score(2, 70000, "shifting", 12, seed=3)) == (
+        2.3333333333333335, 0.4143877070053741)
+    obs1 = check_observation1(2, 70000, 3, trials=30, seed=3)
+    assert (obs1.freq_tail, obs1.freq_complete, obs1.pooled_se, obs1.gap_in_se) == (
+        0.4666666666666667, 0.6333333333333333, 0.12663742352494795, 1.3160933160791353)
+    obs2 = check_observation2(2, 70000, (3, 2, 1), trials=30, seed=3)
+    assert (obs2.freq_multiset, obs2.freq_labeled, obs2.pooled_se, obs2.gap_in_se) == (
+        0.7333333333333333, 0.3333333333333333, 0.11800816042090448, 3.389596097196192)
 
 
 def test_validation():
