@@ -4,11 +4,11 @@
 
 Trials run in blocks as in montecarlo._collect.  Per block it times
 re-keying the Philox stream for each trial (rng.substreams), shuffling
-each trial's copy of the base (montecarlo._base: the sorted word, or for
-n >= 2^16 the labels 0..mn-1), the occurrence tensor (_occ_tensor: a
-radix argsort of the words, or a scatter of the labels) and a kernel on
-it (l_max unless --kernel says otherwise), and it reports the median over
-blocks of each stage's time divided by the block's trials.
+each trial's copy of the labels 0..mn-1 (montecarlo._base), the
+occurrence tensor (_occ_tensor: a radix argsort of label // m, or for
+n >= 2^16 a scatter of the labels) and a kernel on it (l_max unless
+--kernel says otherwise), and it reports the median over blocks of each
+stage's time divided by the block's trials.
 """
 
 import argparse
@@ -56,7 +56,6 @@ def main(argv=None) -> None:
             per_trial[stage].append(seconds / count)
     ms = {stage: float(f"{1e3 * statistics.median(v):.4g}") for stage, v in per_trial.items()}
     print(json.dumps({"m": args.m, "n": args.n, "trials": args.trials, "kernel": args.kernel,
-                      "base": "labels" if args.n >= montecarlo._WIDE_N else "word",
                       "dtype": str(base.dtype), "ms_per_trial": ms}))
 
 

@@ -5,22 +5,22 @@ fills a preallocated value array in trial order, and reduces it with
 fixed-shape numpy operations, so a seed fixes every statistic bitwise.
 
 Trials run in blocks.  One generator is re-keyed to (seed, i) for each
-trial (rng.substreams) and shuffles a copy of each base (_base) into
-row i of a (T, len) block, drawing exactly what gen.permutation(base)
-would.  Blocks hold about _BLOCK_LETTERS letters and at least one trial.
-_base refuses words longer than _MAX_LETTERS before allocating anything.
+trial (rng.substreams) and shuffles a copy of each base into row i of a
+(T, len) block, drawing exactly what gen.permutation(base) would.  The
+base of a word of S_{m,n} is the labels 0..mn-1 (_base), label s standing
+for letter s // m + 1 (_letters): the shuffle draws the same whatever the
+array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
+Blocks hold about _BLOCK_LETTERS letters and at least one trial.  _base
+refuses words longer than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
 positions of value v in word t in increasing order (_occ_tensor).  For
-n < 2^16 the letters fit 16 bits, and one stable argsort along the rows,
+n < 2^16 the letters fit 16 bits, and one stable argsort of label // m,
 which numpy radix-sorts, gives occ.  Wider keys would take a comparison
-sort, so for n >= 2^16 each trial shuffles the labels 0..mn-1 instead of
-the sorted word, label s standing for letter s // m + 1.  The shuffle
-draws the same whatever the array holds, so this is the same word, and
-occ is the inverse permutation: one scatter occ.flat[label] = position,
-then each row's m positions put in order by a sorting network (by
-numpy's sort past m = 4).  l1,
+sort, so for n >= 2^16 occ is the inverse permutation of the labels: one
+scatter occ.flat[label] = position, then each row's m positions put in
+order by a sorting network (by numpy's sort past m = 4).  l1,
 pattern containment and the safe and shifting card-game players are each
 one greedy walk through a sequence of rows of occ (_walk), which returns
 the number of rows matched; a row may repeat, and then gives its next
@@ -48,7 +48,7 @@ from .rng import substreams
 _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
 _RANK_COLUMNS = 4  # widest rows that _rank sums column by column
 _MAX_LETTERS = 10**8  # longest word a trial may sample
-_WIDE_N = 1 << 16  # from this n on, trials shuffle labels, not letters
+_WIDE_N = 1 << 16  # from this n on, _occ_tensor scatters the labels
 # comparators (i, j) that put columns i < j of rows of m entries in order;
 # numpy's sort along so short an axis costs 2-3x as much as the network
 _SORT_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
@@ -56,30 +56,26 @@ _SORT_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
 
 
 def _base(m: int, n: int) -> np.ndarray:
-    """What each trial shuffles into a word of S_{m,n}.
+    """What each trial shuffles into a word of S_{m,n}: the labels 0..mn-1.
 
-    For n < 2^16 that is the sorted word 1^m 2^m ... n^m.  For n >= 2^16
-    it is the labels 0..mn-1, label s standing for letter s // m + 1
-    (_letters): the shuffle draws the same whatever the array holds, so
-    the word is the same.  SpaceTooLarge past _MAX_LETTERS letters.
+    Label s stands for letter s // m + 1 (_letters).  The shuffle draws
+    the same whatever the array holds, so the word is the one a shuffle of
+    1^m 2^m ... n^m gives.  SpaceTooLarge past _MAX_LETTERS letters.
     """
     if m * n > _MAX_LETTERS:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
-    if n >= _WIDE_N:
-        return _small_range(0, m * n)
-    return np.repeat(_small_range(1, n + 1), m)
+    return _small_range(0, m * n)
 
 
-def _letters(block: np.ndarray, m: int, n: int) -> np.ndarray:
+def _letters(block: np.ndarray, m: int) -> np.ndarray:
     """The words of a block of shuffled _base(m, n) rows."""
-    return block // m + 1 if n >= _WIDE_N else block
+    return block // m + 1
 
 
 def _small_range(start: int, stop: int) -> np.ndarray:
     # the smallest unsigned dtype that holds the values: the shuffle draws
-    # the same whatever the dtype, and the stable argsort radix-sorts 8- and
-    # 16-bit keys, several times faster than wider ones (which no word
-    # needs: from n = 2^16 on, _occ_tensor scatters labels instead)
+    # the same whatever the dtype, narrow blocks are cheaper to copy and
+    # divide, and the stable argsort radix-sorts 8- and 16-bit keys
     return np.arange(start, stop, dtype=np.min_scalar_type(stop))
 
 
@@ -145,14 +141,14 @@ def _check_mn(m: int, n: int) -> None:
 def _occ_tensor(block: np.ndarray, m: int, n: int) -> np.ndarray:
     """The (T, n, m) occurrence tensor of a block of shuffled _base(m, n) rows.
 
-    For n < 2^16 the rows are words, and a stable argsort groups equal
-    values and keeps positions increasing; uint32 letters below 2^16 (as
-    obs2's projected labels) are cast to 16 bits for numpy's radix sort.
-    For n >= 2^16 the rows are labels: occ is the inverse permutation,
-    int32 (mn <= 10^8), with each row's m positions then put in order.
+    For n < 2^16 the letters label // m fit 16 bits, and their stable
+    argsort, which numpy radix-sorts, groups equal values and keeps
+    positions increasing.  For n >= 2^16 occ is the inverse permutation of
+    the labels, int32 (mn <= 10^8), with each row's m positions then put
+    in order.
     """
     if n < _WIDE_N:
-        keys = block.astype(np.uint16) if block.dtype.itemsize > 2 else block
+        keys = (block // m).astype(np.min_scalar_type(n - 1), copy=False)
         return np.argsort(keys, axis=1, kind="stable").reshape(-1, n, m)
     occ = np.empty(block.shape, dtype=np.int32)
     positions = np.arange(m * n, dtype=np.int32)
@@ -278,7 +274,7 @@ def estimate_lis(m: int, n: int, trials: int, seed: int) -> Estimate:
     _check_mn(m, n)
 
     values = _collect(trials, seed, [_base(m, n)],
-                      lambda block: [_lis_from_letters(row) for row in _letters(block, m, n)])
+                      lambda block: [_lis_from_letters(row) for row in _letters(block, m)])
     return Estimate.from_values(values, seed)
 
 
@@ -404,11 +400,13 @@ def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Re
 class Obs2Report:
     """Containment frequency of a fixed pattern under two samplers.
 
-    freq_multiset samples words from S_{m,n} directly; freq_labeled
-    permutes m*n distinct labeled cards and projects label s to value
-    s // m + 1.  Both must agree: the projection is uniform.  For
-    n >= 2^16 the multiset branch shuffles labels too (_base), which
-    draws the same word as shuffling 1^m 2^m ... n^m.
+    freq_multiset shuffles the sorted word 1^m 2^m ... n^m and builds its
+    occurrence tensor with its own stable argsort; freq_labeled permutes
+    m*n distinct labeled cards and projects label s to value s // m + 1,
+    through _base and _occ_tensor as every estimator does.  Both must
+    agree: the projection is uniform.  The two routes share only the
+    shuffle loop and the walk, so a fault in _base or _occ_tensor shows
+    as a gap.
     """
 
     m: int
@@ -433,14 +431,16 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
     if any(x < 1 or x > n for x in w):
         raise DomainError(f"pattern letters must lie in 1..{n}, got {w}")
 
-    def kernel(pi, labels):
-        direct = _contains_subsequence(_occ_tensor(pi, m, n), w)
-        # from n = 2^16 on, _occ_tensor takes the labels themselves
-        projected = _contains_subsequence(
-            _occ_tensor(labels if n >= _WIDE_N else labels // m + 1, m, n), w)
+    labels = _base(m, n)  # checks the length cap before the word is allocated
+    word = np.repeat(_small_range(1, n + 1), m)
+
+    def kernel(pi, tau):
+        occ = np.argsort(pi, axis=1, kind="stable").reshape(-1, n, m)
+        direct = _contains_subsequence(occ, w)
+        projected = _contains_subsequence(_occ_tensor(tau, m, n), w)
         return np.stack([direct, projected], axis=1)
 
-    values = _collect(trials, seed, [_base(m, n), _small_range(0, m * n)], kernel)
+    values = _collect(trials, seed, [word, labels], kernel)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)

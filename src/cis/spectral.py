@@ -119,7 +119,7 @@ def _horner(coeffs, x):
 
 
 # sweeps in a row in which the largest step does not halve its smallest
-# value so far before a sweep loop gives up; rounding noise at the
+# value so far before _aberth_fixed gives up; rounding noise at the
 # precision floor sets new minima by less than that
 _STALL_SWEEPS = 24
 # the double pass stops at this relative step, after _DOUBLE_SWEEPS sweeps,
@@ -129,24 +129,17 @@ _DOUBLE_SWEEPS = 20
 _DOUBLE_PAIRS = 2**17
 
 
-def _aberth(coeffs, z, stop, max_sweeps):
+def _aberth(coeffs, z, stop, sweeps):
     """Aberth-Ehrlich sweeps in IEEE double on the complex points z, in place.
 
     coeffs are the floats of a polynomial, constant term first.  Each
     sweep moves every point in turn (Gauss-Seidel order) by its Aberth
-    step, and the largest relative step of the sweep is compared with
-    stop.
-
-    Returns (converged, sweeps): converged is True once the largest step
-    falls below stop, and False when max_sweeps run out or the largest
-    step has not set a new minimum, by a factor of two, for _STALL_SWEEPS
-    sweeps in a row.
+    step.  The sweeps stop after the first whose largest relative step is
+    below stop, or after `sweeps` sweeps.
     """
     m = len(z)
     dcoeffs = coeffs[:-1]  # derivative of E_m is E_{m-1}
-    best = math.inf
-    since_best = 0
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(sweeps):
         max_step = 0
         for i in range(m):
             zi = z[i]
@@ -165,14 +158,7 @@ def _aberth(coeffs, z, stop, max_sweeps):
             if rel > max_step:
                 max_step = rel
         if max_step < stop:
-            return True, sweep
-        if max_step < best / 2:
-            best, since_best = max_step, 0
-        else:
-            since_best += 1
-            if since_best >= _STALL_SWEEPS:
-                return False, sweep
-    return False, max_sweeps
+            return
 
 
 def _double_start(m):
@@ -240,10 +226,12 @@ def _aberth_fixed(cs, xs, ys, p, stop_bits, max_sweeps):
         e = bitlen(max(|re step|, |im step|)) - bitlen(max(|x|, |y|, 2^p)) + 2,
 
     and the sweeps have converged once the largest e of a sweep is at most
-    -stop_bits.  The stall rule is that of _aberth, with a halving of the
-    step read as a fall of e by one.
+    -stop_bits.
 
-    Returns (converged, sweeps) as _aberth does.
+    Returns (converged, sweeps): converged is True once the sweeps have
+    converged, and False when max_sweeps run out or the largest e has not
+    fallen by one below its smallest value so far for _STALL_SWEEPS
+    sweeps in a row.
     """
     m = len(xs)
     one, p3 = 1 << p, 3 * p

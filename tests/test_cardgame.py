@@ -17,7 +17,7 @@ from cis import (
     safe_expected_exact,
 )
 from cis.cardgame import _safe_score, _shifting_score
-from cis.montecarlo import _base, _l1_from_occ, _occ_tensor
+from cis.montecarlo import _base, _l1_from_occ, _letters, _occ_tensor
 from cis.rng import substream
 
 _DECK = make_word([2, 1, 1, 3, 2, 3], 2, 3)
@@ -48,8 +48,7 @@ def test_trace_invariants():
     for trial in range(40):
         gen = substream(2024, trial)
         m, n = 1 + trial % 3, 2 + trial % 5
-        letters = gen.permutation(_base(m, n)).tolist()
-        word = make_word(letters, m, n)
+        word = make_word(_letters(gen.permutation(_base(m, n)), m).tolist(), m, n)
         for strategy in ("trivial", "safe", "shifting"):
             trace = play(word, strategy)
             assert isinstance(trace, GameTrace)
@@ -65,9 +64,9 @@ def test_closed_scorers_match_play():
     for trial in range(300):
         gen = substream(31337, trial)
         m, n = 1 + trial % 4, 1 + trial % 6
-        letters = gen.permutation(_base(m, n))
-        word = make_word(letters.tolist(), m, n)
-        occ = _occ_tensor(letters[None], m, n)
+        labels = gen.permutation(_base(m, n))
+        word = make_word(_letters(labels, m).tolist(), m, n)
+        occ = _occ_tensor(labels[None], m, n)
         assert _safe_score(occ)[0] == play(word, "safe").score
         assert _shifting_score(occ)[0] == play(word, "shifting").score
         assert play(word, "trivial").score == m
@@ -79,7 +78,7 @@ def test_walk_scorers_match_play_on_every_small_deck():
     assert len(instances) > 20
     for m, n in instances:
         decks = list(enumerate_words(m, n))
-        occ = _occ_tensor(np.array([w.letters for w in decks], dtype=np.uint8), m, n)
+        occ = np.argsort([w.letters for w in decks], axis=1, kind="stable").reshape(-1, n, m)
         assert _safe_score(occ).tolist() == [play(w, "safe").score for w in decks], (m, n)
         assert _shifting_score(occ).tolist() == [play(w, "shifting").score for w in decks], (m, n)
         assert _l1_from_occ(occ).tolist() == [l1(w) for w in decks], (m, n)
@@ -89,8 +88,7 @@ def test_shifting_scores_at_least_l1():
     for trial in range(200):
         gen = substream(555, trial)
         m, n = 1 + trial % 3, 1 + trial % 7
-        letters = gen.permutation(_base(m, n)).tolist()
-        word = make_word(letters, m, n)
+        word = make_word(_letters(gen.permutation(_base(m, n)), m).tolist(), m, n)
         trace = play(word, "shifting")
         assert trace.score >= l1(word)
         if trace.guesses[-1] < n:

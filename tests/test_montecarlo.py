@@ -23,6 +23,7 @@ from cis import (
     moments,
     play,
     raw_target,
+    sample_uniform,
 )
 from cis import montecarlo
 from cis.cardgame import _safe_score, _shifting_score
@@ -39,7 +40,7 @@ from cis.montecarlo import (
     _rank,
     _walk,
 )
-from cis.rng import substream, substreams
+from cis.rng import RandomSource, substream, substreams
 
 
 def _lis_reference(letters):
@@ -87,8 +88,8 @@ def test_seeds_past_2_63_give_distinct_streams():
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (3, 3), (5, 2), (4, 1)])
 def test_walk_through_a_repeated_row_takes_its_copies_in_order(m, n):
-    letters = np.stack([substream(77, i).permutation(_base(m, n)) for i in range(20)])
-    occ = _occ_tensor(letters, m, n)
+    labels = np.stack([substream(77, i).permutation(_base(m, n)) for i in range(20)])
+    occ = _occ_tensor(labels, m, n)
     for v in range(n):
         assert _walk(occ, [v] * m).tolist() == [m] * 20
         # the row has no copy left after its last
@@ -98,8 +99,10 @@ def test_walk_through_a_repeated_row_takes_its_copies_in_order(m, n):
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 5), (3, 4), (4, 2), (2, 1), (1, 1)])
 def test_kernels_match_word_level_references(m, n, monkeypatch):
     # 61 trials: one trial per block, 7 per block (a short last block), one block
+    # the words come from shuffling the sorted word, the kernels' from the labels
     trials, seed = 61, 123456 + 17 * m + n
-    words = [make_word(substream(seed, i).permutation(_base(m, n)).tolist(), m, n)
+    sorted_word = np.repeat(np.arange(1, n + 1), m)
+    words = [make_word(substream(seed, i).permutation(sorted_word).tolist(), m, n)
              for i in range(trials)]
     patterns = [p for p in [(1,), (1, 2), (2, 3), (1, n), (n,)]
                 if len(set(p)) == len(p) and max(p) <= n]
@@ -110,8 +113,9 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         for w in words
     ]
 
-    def kernel(letters):
-        occ = _occ_tensor(letters, m, n)
+    def kernel(labels):
+        letters = _letters(labels, m)
+        occ = _occ_tensor(labels, m, n)
         return np.column_stack([
             letters, _l1_from_occ(occ), _lmax_from_occ(occ), _safe_score(occ),
             _shifting_score(occ), [_lis_from_letters(row) for row in letters],
@@ -126,14 +130,18 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("n", [70_000, 3_000])
+@pytest.mark.parametrize("n", [70_000, 40_000, 3_000])
 def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
-    # n >= 2^16 needs uint32 letters, so trials shuffle uint32 labels, which
-    # are scattered and each row put in order (a sorting network up to m = 4);
-    # uint32 letters below 2^16 (as obs2's projected labels) take one radix sort
-    block = np.stack([np.random.default_rng(seed).permutation(_base(m, n)) for seed in range(3)])
+    # n >= 2^16 needs uint32 letters: the uint32 labels are scattered and
+    # each row put in order (a sorting network up to m = 4).  Below that,
+    # uint32 labels (natural from m = 2 at n = 40,000, cast at n = 3,000)
+    # take one radix argsort of label // m in 16 bits
+    base = _base(m, n)
+    if n == 40_000:
+        assert (base.dtype == np.uint32) == (m > 1)
+    block = np.stack([np.random.default_rng(seed).permutation(base) for seed in range(3)])
     block = block.astype(np.uint32)
-    letters = _letters(block, m, n)
+    letters = _letters(block, m)
     want = np.argsort(letters.astype(np.int64), axis=1, kind="stable").reshape(-1, n, m)
     assert np.array_equal(_occ_tensor(block, m, n), want)
 
@@ -141,14 +149,31 @@ def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
 @pytest.mark.parametrize("m", [1, 3])
 def test_shuffled_labels_give_the_word_the_sorted_word_shuffles_into(m):
     # the shuffle draws the same whatever the array holds, so a trial that
-    # shuffles the labels 0..mn-1 samples the same word, label s for s // m + 1
-    n, trials, seed = 70_000, 3, 41
-    labels = _base(m, n)
-    assert labels.dtype == np.uint32 and labels.tolist() == list(range(m * n))
-    word = np.repeat(np.arange(1, n + 1, dtype=np.uint32), m)
-    got = _collect(trials, seed, [labels], lambda block: _letters(block, m, n))
-    want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
-    assert got.tolist() == want
+    # shuffles the labels 0..mn-1 samples the same word, label s for s // m + 1,
+    # as words.sample_uniform, which shuffles 1^m 2^m ... n^m on the same stream
+    trials, seed = 3, 41
+    for n, dtype in ((70_000, np.uint32), (50, np.uint8)):
+        labels = _base(m, n)
+        assert labels.dtype == dtype and labels.tolist() == list(range(m * n))
+        word = np.repeat(np.arange(1, n + 1, dtype=np.uint32), m)
+        got = _collect(trials, seed, [labels], lambda block: _letters(block, m))
+        want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
+        assert got.tolist() == want
+        sampled = [sample_uniform(m, n, RandomSource(seed, i)).letters for i in range(trials)]
+        assert [tuple(row) for row in got.astype(int).tolist()] == sampled
+
+
+def test_observation2_catches_an_occurrence_tensor_out_of_order(monkeypatch):
+    # with each row's two positions swapped, every walk takes the later copy
+    # first: a two-letter pattern is then found with probability 1/2, not
+    # 5/6.  Only the labeled branch goes through _occ_tensor, so the
+    # multiset branch's own argsort shows the fault at narrow and wide n
+    occ_tensor = _occ_tensor
+    monkeypatch.setattr(montecarlo, "_occ_tensor",
+                        lambda block, m, n: occ_tensor(block, m, n)[..., [1, 0]])
+    for n, trials in ((50, 400), (1 << 16, 120)):
+        rep = check_observation2(2, n, (1, 2), trials, seed=1)
+        assert rep.freq_labeled < rep.freq_multiset and rep.gap_in_se > 4, (n, rep)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -162,9 +187,9 @@ def test_rank_counts_entries_at_or_before_pos(m):
 
 
 def test_sampled_letters_form_valid_words():
-    def sorted_rows(letters):
+    def sorted_rows(labels):
         return [sorted(row) == [v for v in range(1, 8) for _ in range(3)]
-                for row in letters.tolist()]
+                for row in _letters(labels, 3).tolist()]
 
     assert _collect(5, 9, [_base(3, 7)], sorted_rows).all()
 
