@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,6 +105,8 @@ def _ball_shifts(m: int, n: int, radius: int) -> np.ndarray:
     Row entries are in [0, m); a word's neighbour is (digits + row) mod m.
     Every set of 1..radius positions gets every non-zero shift on each.
     """
+    import numpy as np
+
     rows = []
     for dist in range(1, radius + 1):
         for pos in combinations(range(n), dist):
@@ -125,6 +128,8 @@ def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
     search of the dead mask; the two formulations pick the same code.  The
     size always meets gv_size_bound when delta <= n/2.
     """
+    import numpy as np
+
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
     if not 1 <= delta or 2 * delta > n:

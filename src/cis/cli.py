@@ -5,7 +5,9 @@ quantity), help, options in params order, a compute function taking the
 params as keywords and returning (value, stderr, meta), and cacheability.
 One driver, _execute, turns any row into a versioned record (schema 1),
 cached under CIS_CACHE_DIR by quantity, params and version; rows with a
---seed are cached only when the seed is given.
+--seed are cached only when the seed is given.  A compute function
+reaches its module through the package when it runs, so a command loads
+numpy or mpmath only if it computes with them.
 
 Exit codes: 0 success, 1 verify-all found failing criteria, 2 invalid
 arguments, domain errors or an unwritable --out file, 3 numerical
@@ -27,9 +29,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import mpmath as mp
-
-from . import __version__, bounds, cardgame, exact, montecarlo, spectral
+import cis  # a submodule loads on first access, so a command imports only the modules it runs
+from . import __version__
 from .cache import cache_get, cache_put
 from .errors import NoConvergence, SpaceTooLarge
 
@@ -62,6 +63,8 @@ def _finite(x):
 
 def _double(x):
     """An mpmath number as a float, or as its decimal string where a nonzero value underflows a double."""
+    import mpmath as mp
+
     f = float(x)
     return mp.nstr(x, 17) if x and abs(f) < sys.float_info.min else f
 
@@ -91,7 +94,7 @@ def _complete_prob(m, n, engine):
     if limit and m >= 1 and n >= 1 and (math.lgamma(n + 1) - n * math.log(m)) / math.log(10) > limit + 1:
         raise SpaceTooLarge(f"the exact value's denominator, at least {n}!/{m}^{n}, has more than {limit} "
                             "digits, past the interpreter's integer string limit")
-    return _fraction(exact.complete_prob(m, n, engine=engine), engine=engine)
+    return _fraction(cis.exact.complete_prob(m, n, engine=engine), engine=engine)
 
 
 def _estimate(est, trials: int, seed: int):
@@ -99,36 +102,36 @@ def _estimate(est, trials: int, seed: int):
 
 
 def _roots(m, bits, check_power_sums):
-    rs = spectral.find_roots(m, precision_bits=bits)
+    rs = cis.spectral.find_roots(m, precision_bits=bits)
     meta = {"bits": bits, "max_residual": _double(max(rs.residuals)), "tolerance": _double(rs.tolerance)}
     if check_power_sums:
-        dev = spectral.power_sum_check(rs).max_deviation
+        dev = cis.spectral.power_sum_check(rs).max_deviation
         meta.update(power_sum_max_deviation=dev, power_sums_ok=dev < 1e-9)
     return [[float(z.real), float(z.imag)] for z in rs.roots], None, meta
 
 
 def _recip_series(m, k):
-    rs = spectral.reciprocal_series(m, k)
+    rs = cis.spectral.reciprocal_series(m, k)
     return [str(c) for c in rs.coefficients], None, {
         "within_envelope": rs.within_envelope, "float_values": rs.as_floats(),
         "envelope": [float(e) for e in rs.envelope]}
 
 
 def _gv_code(m, n, delta, cap):
-    size, gv = bounds.greedy_code(m, n, delta, cap=cap).size, bounds.gv_size_bound(m, n, delta)
+    size, gv = cis.bounds.greedy_code(m, n, delta, cap=cap).size, cis.bounds.gv_size_bound(m, n, delta)
     return size, None, {"gv_bound": str(gv), "gv_bound_float": float(gv),
                         "meets_gv": size >= gv, "min_distance": delta}
 
 
 def _entropy_check(n, delta):
-    ec = bounds.entropy_binom_check(n, delta)
+    ec = cis.bounds.entropy_binom_check(n, delta)
     _check_digits(f"the binomial C({n}, {delta})", ec.binomial)
     return "holds" if ec.holds else "violated", None, {
         "binomial": ec.binomial, "entropy_exponent": ec.entropy_exponent, "bound": _finite(ec.bound)}
 
 
 def _moments(m, n, r_max, trials, seed):
-    rep = montecarlo.moments(m, n, r_max, trials, seed)
+    rep = cis.montecarlo.moments(m, n, r_max, trials, seed)
     rows = [("mean", 1, rep.mu, None)]
     rows += [("central", r, rep.central[r], rep.central_targets[r]) for r in sorted(rep.central)]
     rows += [("raw", r, rep.raw[r], rep.raw_targets[r]) for r in sorted(rep.raw)]
@@ -137,21 +140,19 @@ def _moments(m, n, r_max, trials, seed):
 
 
 def _obs1(m, n, k, trials, seed):
-    rep = montecarlo.check_observation1(m, n, k, trials, seed)
+    rep = cis.montecarlo.check_observation1(m, n, k, trials, seed)
     return [rep.freq_tail, rep.freq_complete], rep.pooled_se, {
         "seed": seed, "trials": trials, "gap_in_se": rep.gap_in_se, "exact": str(rep.exact)}
 
 
 def _obs2(m, n, pattern, trials, seed):
-    rep = montecarlo.check_observation2(m, n, tuple(pattern), trials, seed)
+    rep = cis.montecarlo.check_observation2(m, n, tuple(pattern), trials, seed)
     return [rep.freq_multiset, rep.freq_labeled], rep.pooled_se, {
         "seed": seed, "trials": trials, "gap_in_se": rep.gap_in_se}
 
 
 def _verify_all(level):
-    from . import acceptance  # imported lazily; acceptance drives this CLI in-process
-
-    results = acceptance.run_all(level=level)
+    results = cis.acceptance.run_all(level=level)
     rows = [{"id": r.cid, "name": r.name, "passed": r.passed,
              "seconds": round(r.seconds, 2), "detail": r.detail} for r in results]
     failed = [r.cid for r in results if not r.passed]
@@ -165,18 +166,19 @@ _M, _N, _K, _DELTA, _BITS = _arg("--m"), _arg("--n"), _arg("--k"), _arg("--delta
 _MC = (_arg("--m", help="copies per value"), _arg("--n", help="number of values"))
 _TRIALS_SEED = (_arg("--trials"),
                 _arg("--seed", default=None, help="RNG seed; omit for fresh entropy (result then not cached)"))
+_STRATEGIES = ("trivial", "safe", "shifting")  # cardgame.STRATEGIES, which would load numpy for every command
 _GROUPS = {"bounds": ("combinatorial bounds", "BOUND"), "mc": ("seeded Monte Carlo estimators", "ESTIMATOR")}
 
 COMMANDS = (
     Command(("l1-exact",), "series value of the limiting expected run length",
             (_M, _arg("--eps", float, default=1e-12), _arg("--max-n", default=400)),
-            lambda m, eps, max_n: _fields(exact.l1_series(m, eps=eps, max_n=max_n),
+            lambda m, eps, max_n: _fields(cis.exact.l1_series(m, eps=eps, max_n=max_n),
                                           "value", "terms_used", "truncation_bound", engine="gf"), True),
     Command(("l1-closed",), "closed form over zeros of the truncated exponential", (_M, _BITS),
-            lambda m, bits: _fields(spectral.l1_closed_form(m, precision_bits=bits),
+            lambda m, bits: _fields(cis.spectral.l1_closed_form(m, precision_bits=bits),
                                     "value", "imag_residue", "value_str", bits=bits), True),
     Command(("l1-approx",), "two-term approximation m+1-1/(m+2)", (_M,),
-            lambda m: (spectral.approx_l1(m), None, {}), False),
+            lambda m: (cis.spectral.approx_l1(m), None, {}), False),
     Command(("prob-complete",), "exact probability of a complete run",
             (_M, _N, _arg("--engine", None, choices=("hk", "gf", "brute"), default="gf")),
             _complete_prob, True),
@@ -185,35 +187,36 @@ COMMANDS = (
     Command(("recip-series",), "series coefficients of sum of reciprocal zeros",
             (_M, _arg("--k", help="highest coefficient index")), _recip_series, True),
     Command(("invgamma",), "inverse of the gamma function on [2, inf)", (_arg("--y", float),),
-            lambda y: (bounds.inverse_gamma(y), None, {}), False),
+            lambda y: (cis.bounds.inverse_gamma(y), None, {}), False),
     Command(("bounds", "tail"), "union bound on Pr[L >= k] for a word family",
             (_arg("--family", None, choices=("continuous", "ap")), _N, _M, _K),
-            lambda family, n, m, k: _fraction(bounds.tail_bound(
-                bounds.continuous_runs(n) if family == "continuous" else bounds.arithmetic_progressions(n),
+            lambda family, n, m, k: _fraction(cis.bounds.tail_bound(
+                (cis.bounds.continuous_runs if family == "continuous" else cis.bounds.arithmetic_progressions)(n),
                 m, k)), False),
     Command(("bounds", "expectation-upper"), "cap on E[run length] from a family size cap",
             (_M, _arg("--cap", help="family size cap (>= 2)")),
-            lambda m, cap: _fields(bounds.expectation_upper(m, cap), "value", "t", "k", "in_regime"), False),
+            lambda m, cap: _fields(cis.bounds.expectation_upper(m, cap), "value", "t", "k", "in_regime"), False),
     Command(("bounds", "block-lower"), "completion floor from independent blocks",
             (_M, _N, _arg("--k", help="block length")),
-            lambda m, n, k: (bounds.block_lower_bound(m, n, k), None, {"blocks": n // k}), False),
+            lambda m, n, k: (cis.bounds.block_lower_bound(m, n, k), None, {"blocks": n // k}), False),
     Command(("bounds", "gv-code"), "greedy code meeting the Gilbert-Varshamov size",
             (_M, _N, _DELTA, _arg("--cap", default=10**6, help="largest m^n the sieve will touch")),
             _gv_code, False),
     Command(("bounds", "completion-lower"), "inclusion-exclusion floor from a distance-delta code",
             (_M, _N, _arg("--t-size", help="code size"), _DELTA),
-            lambda m, n, t_size, delta: _fraction(bounds.completion_lower(m, n, t_size, delta)), False),
+            lambda m, n, t_size, delta: _fraction(cis.bounds.completion_lower(m, n, t_size, delta)), False),
     Command(("bounds", "factorial-threshold"), "k! vs t! m^(Ct) growth check",
             (_M, _arg("--t"), _arg("--c", float)),
-            lambda m, t, c: _fields(bounds.factorial_threshold(m, t, c), "k",
+            lambda m, t, c: _fields(cis.bounds.factorial_threshold(m, t, c), "k",
                                     "c_adjusted", "lower_ok", "upper_asserted", "upper_ok"), False),
     Command(("bounds", "lower-cont"), "asymptotic completion floor in log space", (_M, _N),
-            lambda m, n: _fields(bounds.lower_cont_asymptotic(m, n), "log_value", "value", "domain_ok"), False),
+            lambda m, n: _fields(cis.bounds.lower_cont_asymptotic(m, n), "log_value", "value", "domain_ok"),
+            False),
     Command(("bounds", "entropy-check"), "binomial vs binary-entropy cap", (_N, _DELTA), _entropy_check, False),
     *(Command(("mc", name), None, (*_MC, *_TRIALS_SEED),
-              lambda m, n, trials, seed, fn=fn: _estimate(fn(m, n, trials, seed), trials, seed), True)
-      for name, fn in (("l1", montecarlo.estimate_l1), ("lmax", montecarlo.estimate_lmax),
-                       ("lis", montecarlo.estimate_lis))),
+              lambda m, n, trials, seed, fn=f"estimate_{name}": _estimate(
+                  getattr(cis.montecarlo, fn)(m, n, trials, seed), trials, seed), True)
+      for name in ("l1", "lmax", "lis")),
     Command(("mc", "moments"), "central and raw moments against conjectured targets",
             (*_MC, _arg("--r-max", default=4), *_TRIALS_SEED), _moments, True),
     Command(("mc", "obs1"), "tail probability vs completion probability", (*_MC, _K, *_TRIALS_SEED), _obs1, True),
@@ -221,9 +224,9 @@ COMMANDS = (
             (*_MC, _arg("--pattern", None, help="comma-separated values, e.g. 2,4"), *_TRIALS_SEED),
             _obs2, True),
     Command(("cardgame",), "expected score under a guessing strategy",
-            (_arg("--strategy", None, choices=cardgame.STRATEGIES), *_MC, *_TRIALS_SEED),
+            (_arg("--strategy", None, choices=_STRATEGIES), *_MC, *_TRIALS_SEED),
             lambda strategy, m, n, trials, seed: _estimate(
-                cardgame.expected_score(m, n, strategy, trials, seed), trials, seed), True),
+                cis.cardgame.expected_score(m, n, strategy, trials, seed), trials, seed), True),
     Command(("verify-all",), "run the acceptance suite",
             (_arg("--level", None, choices=("quick", "full"), default="full"),), _verify_all, False),
 )

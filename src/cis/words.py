@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import AlphabetViolation, DomainError, MultiplicityViolation, SpaceTooLarge
-from .rng import RandomSource
+
+if TYPE_CHECKING:
+    from .rng import RandomSource
 
 _MAX_LETTER = 2**31 - 1  # letters are kept within 32-bit range
 

@@ -7,7 +7,7 @@ import time
 import mpmath as mp
 import pytest
 
-from cis import cli, montecarlo
+from cis import cardgame, cli, montecarlo
 
 
 def test_prob_complete_json_record(run_cli):
@@ -260,6 +260,21 @@ def test_digit_limit_is_read_not_changed(run_cli, monkeypatch, tmp_path):
             assert json.loads(out)["value"] == f"1/{math.factorial(25)}"
     monkeypatch.undo()
     assert sys.get_int_max_str_digits() == before
+
+
+def test_cardgame_strategy_choices_are_the_card_game_strategies():
+    row = next(c for c in cli.COMMANDS if c.path == ("cardgame",))
+    assert next(kw["choices"] for _, flag, kw in row.args if flag == "--strategy") == cardgame.STRATEGIES
+
+
+@pytest.mark.parametrize("name", ["l1", "lmax", "lis"])
+def test_mc_rows_call_the_estimator_montecarlo_has_at_call_time(run_cli, monkeypatch, name):
+    fake = montecarlo.Estimate(mean=42.5, std_error=0.25, trials=8, seed=3, ci95=(42.0, 43.0))
+    monkeypatch.setattr(montecarlo, f"estimate_{name}", lambda m, n, trials, seed: fake)
+    code, out = run_cli("mc", name, "--m", "2", "--n", "5", "--trials", "8", "--seed", "3")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["value"], rec["stderr"], rec["meta"]["ci95"]) == (42.5, 0.25, [42.0, 43.0])
 
 
 def test_parser_is_built_once(run_cli):

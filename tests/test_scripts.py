@@ -54,3 +54,13 @@ def test_root_stages_prints_one_line_of_stage_times(capsys):
     assert all(record["ms"][s] >= 0 for s in stages - {"other"})
     # the stage functions are restored
     assert spectral._aberth_fixed.__module__ == "cis.spectral"
+
+
+def test_startup_prints_one_line_per_command(capsys):
+    startup = _load("startup")
+    startup.main(["--launches", "1", "--commands", "l1-exact-warm", "mc-l1"])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["command"] for r in records] == ["l1-exact-warm", "mc-l1"]
+    assert all(r["launches"] == 1 and r["median_s"] > 0 for r in records)
+    # a cached series record needs neither library; sampling needs numpy only
+    assert [(r["numpy"], r["mpmath"]) for r in records] == [(False, False), (True, False)]
