@@ -56,7 +56,7 @@ def main(argv=None) -> None:
             per_trial[stage].append(seconds / count)
     ms = {stage: float(f"{1e3 * statistics.median(v):.4g}") for stage, v in per_trial.items()}
     print(json.dumps({"m": args.m, "n": args.n, "trials": args.trials, "kernel": args.kernel,
-                      "dtype": str(base.dtype), "ms_per_trial": ms}))
+                      "ms_per_trial": ms}))
 
 
 if __name__ == "__main__":

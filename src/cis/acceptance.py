@@ -190,7 +190,7 @@ def _c3(level):
 
 @_criterion(4, "approximation decay", budget=30.0)
 def _c4(level):
-    gap = {m: abs(spectral.l1_closed_form(m).value - spectral.approx_l1(m)) for m in (4, 12)}
+    gap = {m: abs(spectral.l1_closed_form(m).value - exact.approx_l1(m)) for m in (4, 12)}
     ok = gap[12] < 0.05 and gap[12] < gap[4]
     return ok, f"two-term gap {gap[12]:.1e} at m=12 (< 0.05) vs {gap[4]:.1e} at m=4"
 

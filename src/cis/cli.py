@@ -178,7 +178,7 @@ COMMANDS = (
             lambda m, bits: _fields(cis.spectral.l1_closed_form(m, precision_bits=bits),
                                     "value", "imag_residue", "value_str", bits=bits), True),
     Command(("l1-approx",), "two-term approximation m+1-1/(m+2)", (_M,),
-            lambda m: (cis.spectral.approx_l1(m), None, {}), False),
+            lambda m: (cis.exact.approx_l1(m), None, {}), False),
     Command(("prob-complete",), "exact probability of a complete run",
             (_M, _N, _arg("--engine", None, choices=("hk", "gf", "brute"), default="gf")),
             _complete_prob, True),

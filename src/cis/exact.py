@@ -313,6 +313,18 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
     )
 
 
+def approx_l1(m: int) -> float:
+    """Elementary approximation m + 1 - 1/(m+2) of the limiting mean.
+
+    The gap to the series and spectral values decays exponentially in m;
+    the package reports the gap rather than asserting any particular decay
+    constant.
+    """
+    if m < 1:
+        raise DomainError(f"need m >= 1, got {m}")
+    return m + 1 - 1.0 / (m + 2)
+
+
 def l1_finite_expectation(m: int, n: int) -> Fraction:
     """Exact E[l1] over words with n values: sum_{k<=n} Pr[l1 >= k].
 

@@ -10,8 +10,11 @@ trial (rng.substreams) and shuffles a copy of each base into row i of a
 base of a word of S_{m,n} is the labels 0..mn-1 (_base), label s standing
 for letter s // m + 1 (_letters): the shuffle draws the same whatever the
 array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
-Blocks hold about _BLOCK_LETTERS letters and at least one trial.  _base
-refuses words longer than _MAX_LETTERS before allocating anything.
+Labels are np.intp, the one item size Generator.shuffle has a fast path
+for; the narrower types live in _occ_tensor alone (8- or 16-bit sort
+keys for the radix sort, an int32 tensor past that).  Blocks hold about
+_BLOCK_LETTERS letters and at least one trial.  _base refuses words
+longer than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
@@ -60,23 +63,19 @@ def _base(m: int, n: int) -> np.ndarray:
 
     Label s stands for letter s // m + 1 (_letters).  The shuffle draws
     the same whatever the array holds, so the word is the one a shuffle of
-    1^m 2^m ... n^m gives.  SpaceTooLarge past _MAX_LETTERS letters.
+    1^m 2^m ... n^m gives.  The labels are np.intp: Generator.shuffle
+    copies items of that size on a specialized path and narrower ones
+    through a general memcpy, and intp labels index _occ_tensor's scatter
+    without a cast.  SpaceTooLarge past _MAX_LETTERS letters.
     """
     if m * n > _MAX_LETTERS:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
-    return _small_range(0, m * n)
+    return np.arange(m * n)
 
 
 def _letters(block: np.ndarray, m: int) -> np.ndarray:
     """The words of a block of shuffled _base(m, n) rows."""
     return block // m + 1
-
-
-def _small_range(start: int, stop: int) -> np.ndarray:
-    # the smallest unsigned dtype that holds the values: the shuffle draws
-    # the same whatever the dtype, narrow blocks are cheaper to copy and
-    # divide, and the stable argsort radix-sorts 8- and 16-bit keys
-    return np.arange(start, stop, dtype=np.min_scalar_type(stop))
 
 
 def _check_trials(trials: int) -> None:
@@ -432,7 +431,7 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
         raise DomainError(f"pattern letters must lie in 1..{n}, got {w}")
 
     labels = _base(m, n)  # checks the length cap before the word is allocated
-    word = np.repeat(_small_range(1, n + 1), m)
+    word = np.repeat(np.arange(1, n + 1), m)
 
     def kernel(pi, tau):
         occ = np.argsort(pi, axis=1, kind="stable").reshape(-1, n, m)

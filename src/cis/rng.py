@@ -26,8 +26,8 @@ _MASK64 = (1 << 64) - 1
 class RandomSource:
     """Seed plus stream index identifying one reproducible RNG stream.
 
-    seed must fit in 64 unsigned bits; stream is any non-negative integer
-    (it occupies the second word of the Philox key).
+    seed and stream must each fit in 64 unsigned bits: they are the two
+    words of the Philox key, so distinct pairs give distinct keys.
     """
 
     seed: int
@@ -36,8 +36,8 @@ class RandomSource:
     def __post_init__(self):
         if not 0 <= self.seed <= _MASK64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream < 0:
-            raise ValueError(f"stream index must be non-negative, got {self.stream}")
+        if not 0 <= self.stream <= _MASK64:
+            raise ValueError(f"stream index must be a 64-bit unsigned integer, got {self.stream}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this (seed, stream) pair.
@@ -45,7 +45,7 @@ class RandomSource:
         Each call starts from the beginning of the stream, so functions
         that take a RandomSource are pure: same source, same output.
         """
-        key = np.array([self.seed, self.stream & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

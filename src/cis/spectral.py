@@ -41,17 +41,6 @@ def truncated_exp(m: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1, _fact(k)) for k in range(m + 1))
 
 
-def approx_l1(m: int) -> float:
-    """Elementary approximation m + 1 - 1/(m+2) of the limiting mean.
-
-    The gap to the spectral value decays exponentially in m; the package
-    reports the gap rather than asserting any particular decay constant.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    return m + 1 - 1.0 / (m + 2)
-
-
 def zemyan_targets(m: int) -> list[Fraction]:
     """Exact inverse power sums sum_i alpha_i^(-t) for t = 1..m+2."""
     if m < 1:

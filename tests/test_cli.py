@@ -3,8 +3,10 @@
 import json
 import math
 import time
+import types
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cis import cardgame, cli, montecarlo
@@ -112,12 +114,14 @@ def test_space_too_large_exits_4(run_cli):
 ])
 @pytest.mark.parametrize("m,n", [(1, 3_000_000_000), (200_000_000, 2)])
 def test_every_sampled_word_past_the_length_cap_exits_4(run_cli, capsys, monkeypatch, argv, m, n):
-    # words are allocated through _small_range; a missing cap fails here at
-    # once, with exit 5, instead of asking for gigabytes
-    def no_allocation(start, stop):
-        raise AssertionError(f"allocated {stop - start} letters")
+    # words are allocated through numpy's arange as montecarlo sees it; a
+    # missing cap fails here at once, with exit 5, instead of asking for
+    # gigabytes
+    def no_allocation(*args, **kwargs):
+        raise AssertionError(f"allocated np.arange{args}")
 
-    monkeypatch.setattr(montecarlo, "_small_range", no_allocation)
+    numpy_without_arange = types.SimpleNamespace(**{**vars(np), "arange": no_allocation})
+    monkeypatch.setattr(montecarlo, "np", numpy_without_arange)
     code, out = run_cli(*argv, "--m", str(m), "--n", str(n), "--trials", "2", "--seed", "1")
     err = capsys.readouterr().err
     assert (code, out) == (4, "")

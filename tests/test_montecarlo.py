@@ -86,6 +86,16 @@ def test_seeds_past_2_63_give_distinct_streams():
         assert substream(seed, 3).random(4).tolist() == plain.random(4).tolist()
 
 
+def test_stream_indices_past_2_64_are_refused_not_aliased():
+    # the stream is the key's second 64-bit word: 2^64 would alias stream 0
+    with pytest.raises(ValueError, match="stream index"):
+        RandomSource(5, 2**64)
+    with pytest.raises(ValueError, match="stream index"):
+        RandomSource(5, -1)
+    top = RandomSource(5, 2**64 - 1).generator().integers(0, 2**63, size=4).tolist()
+    assert top != RandomSource(5, 0).generator().integers(0, 2**63, size=4).tolist()
+
+
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 5), (3, 3), (5, 2), (4, 1)])
 def test_walk_through_a_repeated_row_takes_its_copies_in_order(m, n):
     labels = np.stack([substream(77, i).permutation(_base(m, n)) for i in range(20)])
@@ -132,15 +142,13 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [70_000, 40_000, 3_000])
 def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
-    # n >= 2^16 needs uint32 letters: the uint32 labels are scattered and
+    # n >= 2^16 needs 32-bit letters: the intp labels are scattered and
     # each row put in order (a sorting network up to m = 4).  Below that,
-    # uint32 labels (natural from m = 2 at n = 40,000, cast at n = 3,000)
-    # take one radix argsort of label // m in 16 bits
+    # the labels (past 16 bits from m = 2 at n = 40,000) take one radix
+    # argsort of label // m cast to 16 bits
     base = _base(m, n)
-    if n == 40_000:
-        assert (base.dtype == np.uint32) == (m > 1)
+    assert base.dtype == np.intp
     block = np.stack([np.random.default_rng(seed).permutation(base) for seed in range(3)])
-    block = block.astype(np.uint32)
     letters = _letters(block, m)
     want = np.argsort(letters.astype(np.int64), axis=1, kind="stable").reshape(-1, n, m)
     assert np.array_equal(_occ_tensor(block, m, n), want)
@@ -152,10 +160,10 @@ def test_shuffled_labels_give_the_word_the_sorted_word_shuffles_into(m):
     # shuffles the labels 0..mn-1 samples the same word, label s for s // m + 1,
     # as words.sample_uniform, which shuffles 1^m 2^m ... n^m on the same stream
     trials, seed = 3, 41
-    for n, dtype in ((70_000, np.uint32), (50, np.uint8)):
+    for n in (70_000, 50):
         labels = _base(m, n)
-        assert labels.dtype == dtype and labels.tolist() == list(range(m * n))
-        word = np.repeat(np.arange(1, n + 1, dtype=np.uint32), m)
+        assert labels.dtype == np.intp and labels.tolist() == list(range(m * n))
+        word = np.repeat(np.arange(1, n + 1), m)
         got = _collect(trials, seed, [labels], lambda block: _letters(block, m))
         want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
         assert got.tolist() == want

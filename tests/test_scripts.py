@@ -27,7 +27,6 @@ def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert (record["m"], record["n"], record["trials"], record["kernel"]) == (2, 50, 4, kernel)
-    assert record["dtype"] == "uint8"  # the labels 0..99
     assert set(record["ms_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
 
@@ -36,7 +35,7 @@ def test_mc_stages_times_the_label_scatter_from_n_2_16(capsys):
     mc_stages = _load("mc_stages")
     mc_stages.main(["--m", "2", "--n", "70000", "--trials", "2"])
     record = json.loads(capsys.readouterr().out)
-    assert (record["n"], record["dtype"]) == (70000, "uint32")
+    assert record["n"] == 70000
     assert set(record["ms_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
 
