@@ -1,4 +1,4 @@
-"""Median ms per trial of each Monte Carlo stage, printed as one JSON line.
+"""Median ms and minor page faults per trial of each Monte Carlo stage, as one JSON line.
 
     PYTHONPATH=src python scripts/mc_stages.py --m 2 --n 100000 --trials 12
 
@@ -8,11 +8,15 @@ each trial's copy of the labels 0..mn-1 (montecarlo._base), the
 occurrence tensor (_occ_tensor: a radix argsort of label // m, or for
 n >= 2^16 a scatter of the labels) and a kernel on it (l_max unless
 --kernel says otherwise), and it reports the median over blocks of each
-stage's time divided by the block's trials.
+stage's time divided by the block's trials (ms_per_trial).  It counts
+the process's minor page faults (getrusage ru_minflt) the same way
+(faults_per_trial): a fault is a fresh page of memory, and at n = 10^5
+each costs about as much as touching the page's data once more.
 """
 
 import argparse
 import json
+import resource
 import statistics
 import time
 
@@ -25,6 +29,10 @@ KERNELS = {"l1": montecarlo._l1_from_occ, "lmax": montecarlo._lmax_from_occ,
            "safe": cardgame._safe_score, "shifting": cardgame._shifting_score}
 
 
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for flag in ("--m", "--n", "--trials"):
@@ -35,28 +43,36 @@ def main(argv=None) -> None:
     base = montecarlo._base(args.m, args.n)
     size = max(1, montecarlo._BLOCK_LETTERS // len(base))
     streams = substreams(args.seed, args.trials)
-    per_trial = {"rekey": [], "shuffle": [], "occ": [], "kernel": []}
+    stages = ("rekey", "shuffle", "occ", "kernel")
+    per_trial = {stage: [] for stage in stages}
+    faults_per_trial = {stage: [] for stage in stages}
     for start in range(0, args.trials, size):
         count = min(size, args.trials - start)
-        spent = dict.fromkeys(per_trial, 0.0)
+        spent = dict.fromkeys(stages, 0.0)
+        faults = dict.fromkeys(stages, 0)
         block = np.tile(base, (count, 1))
         for t in range(count):
-            t0 = time.perf_counter()
+            f0, t0 = _faults(), time.perf_counter()
             gen = next(streams)
-            t1 = time.perf_counter()
+            t1, f1 = time.perf_counter(), _faults()
             gen.shuffle(block[t])
             spent["rekey"] += t1 - t0
             spent["shuffle"] += time.perf_counter() - t1
-        t0 = time.perf_counter()
+            faults["rekey"] += f1 - f0
+            faults["shuffle"] += _faults() - f1
+        f0, t0 = _faults(), time.perf_counter()
         occ = montecarlo._occ_tensor(block, args.m, args.n)
-        t1 = time.perf_counter()
+        t1, f1 = time.perf_counter(), _faults()
         KERNELS[args.kernel](occ)
         spent["occ"], spent["kernel"] = t1 - t0, time.perf_counter() - t1
-        for stage, seconds in spent.items():
-            per_trial[stage].append(seconds / count)
+        faults["occ"], faults["kernel"] = f1 - f0, _faults() - f1
+        for stage in stages:
+            per_trial[stage].append(spent[stage] / count)
+            faults_per_trial[stage].append(faults[stage] / count)
     ms = {stage: float(f"{1e3 * statistics.median(v):.4g}") for stage, v in per_trial.items()}
+    minflt = {stage: float(f"{statistics.median(v):.4g}") for stage, v in faults_per_trial.items()}
     print(json.dumps({"m": args.m, "n": args.n, "trials": args.trials, "kernel": args.kernel,
-                      "ms_per_trial": ms}))
+                      "ms_per_trial": ms, "faults_per_trial": minflt}))
 
 
 if __name__ == "__main__":

@@ -27,11 +27,18 @@ order by a sorting network (by numpy's sort past m = 4).  l1,
 pattern containment and the safe and shifting card-game players are each
 one greedy walk through a sequence of rows of occ (_walk), which returns
 the number of rows matched; a row may repeat, and then gives its next
-position after the last pick.  The all-starts chain for l_max advances
-every (trial, start) pair in lockstep instead (_lmax_from_occ).  Each
-step touches only the trials still alive, and finds the next position in
-a row with one rank count over the row's m columns (_rank).  _occ_values
-runs a kernel over the occurrence tensor of each block of sampled words.
+position after the last pick.  l_max needs the chain from every start
+(_lmax_from_occ).  A chain that reaches a value's first copy is from
+then on that value's own chain, so one rank count per start, on views
+of occ, finds the chains that run on into the next start's.  At m = 1
+each chain either does so or dies, and l_max is the longest ascending
+run of the inverse permutation.  Only chains that land on a later copy
+step on, in lockstep, until they die or reach a first copy and so run
+on like the rest.  l_max is then the longest stretch of starts whose
+chains run on into each other, plus the chain that ends it.  _rank
+counts the entries of each row at or before a position, over the row's
+m columns.  _occ_values runs a kernel over the occurrence tensor of each
+block of sampled words.
 """
 
 from __future__ import annotations
@@ -169,13 +176,13 @@ def _rank(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """How many entries of each row are at or before pos, for increasing rows.
 
     Rows of up to _RANK_COLUMNS entries are summed one boolean column at a
-    time: numpy's count_nonzero along so short an axis is its slow path,
+    time, into uint8 counts: numpy's count_nonzero along so short an axis is its slow path,
     about 5x slower at m = 2 and 10^5 rows.  On wider rows the m strided
     column passes cost more than the one reduction.
     """
     if rows.shape[1] > _RANK_COLUMNS:
         return np.count_nonzero(rows <= pos[:, None], axis=1)
-    k = (rows[:, 0] <= pos).astype(np.intp)
+    k = (rows[:, 0] <= pos).view(np.uint8)
     for c in range(1, rows.shape[1]):
         k += rows[:, c] <= pos
     return k
@@ -214,29 +221,55 @@ def _l1_from_occ(occ: np.ndarray) -> np.ndarray:
 
 
 def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
-    # one chain per (trial, starting value), all advanced in lockstep over
-    # the flat rows trial*n + v; a trial's l_max is 1 + the number of
-    # rounds in which at least one of its chains finds its next value.
-    # A chain that steps past value n lands on the next trial's first row
-    # (clipped after the last trial) and is dropped by `past_top`.  Chains
-    # stay sorted, so each trial's live chains are one contiguous run,
-    # counted by searchsorted against the trials' edges.
+    # Over the flat rows r = trial*n + v, the chain from r starts at the
+    # first copy of its value and lands on copy s[r] of the next value, or
+    # dies (s[r] == m, as at every trial's top row).  A chain that lands
+    # on a first copy is from then on that row's own chain, so where s[r]
+    # is 0 the chain from r runs on into the chain from r + 1, one value
+    # longer.  So does one that lands on a later copy (0 < s < m, never at
+    # m = 1) and then on some row's first copy: it stays at or after the
+    # chain from r + 1, which starts on the first copy, and so meets it
+    # there.  These excursions step in lockstep until they die or land on
+    # a copy 0.  Every other chain ends: those of the rows with s == m and
+    # of the excursions that die.  A trial's longest chain starts just
+    # after one of these ends (or at value 1) and runs on to the next, so
+    # l_max is the largest gap between ends, less one, plus the later
+    # end's own length.
     trials, n, m = occ.shape
-    flat = occ.reshape(trials * n, m)
-    edges = np.arange(trials + 1) * n
-    past_top = np.zeros(trials * n + 1, dtype=bool)
-    past_top[n::n] = True
-    chain = np.arange(trials * n)
-    cur = flat[:, 0]
-    length = np.ones(trials, dtype=np.int64)
+    rows = trials * n
+    flat = occ.reshape(rows, m)
+    first = _rank(flat[1:], flat[:-1, 0])
+    s = np.empty(rows, dtype=first.dtype)
+    s[:-1] = first
+    s[n - 1::n] = m
+    breaks = np.flatnonzero(s != 0)  # the rows whose chain may end
+    length = np.ones(breaks.size, dtype=np.int32)  # values on each chain; 0: runs on
+    s_break = s[breaks]
+    chain = np.flatnonzero(s_break < m)  # the excursions, by index into breaks
+    # each live excursion has `steps` values, the last one at pos in `row`
+    row, steps = breaks[chain] + 1, 2
+    pos = flat.ravel()[row * m + s_break[chain]]
     while chain.size:
-        chain += 1
-        rows = flat.take(chain, axis=0, mode="clip")
-        idx = _rank(rows, cur)
-        ok = np.flatnonzero((idx < m) & ~past_top[chain])
-        chain, cur = chain[ok], rows.ravel()[ok * m + idx[ok]]
-        length += np.diff(np.searchsorted(chain, edges)) > 0
-    return length
+        length[chain] = steps  # unless it goes on
+        top = s[row]
+        row += 1
+        nextrow = flat.take(row, axis=0, mode="clip")
+        # pos is past the first copy, so the rank is at least top, and
+        # top == m where the chain passed a trial's top row
+        k = np.maximum(_rank(nextrow, pos), top)
+        length[chain[k == 0]] = 0
+        go = np.flatnonzero((k > 0) & (k < m))
+        chain, row = chain[go], row[go]
+        pos = nextrow.ravel()[go * m + k[go]]
+        steps += 1
+    kept = length != 0
+    ends, best = breaks[kept], length[kept]
+    # one more than the run from the row after the previous end (-1 for
+    # the first) up to each end, then on along the end's own chain
+    best += ends
+    best[1:] -= ends[:-1]
+    best[0] += 1
+    return np.maximum.reduceat(best, np.searchsorted(ends, np.arange(0, rows, n))) - 1
 
 
 def _lis_from_letters(letters: np.ndarray) -> int:
@@ -434,7 +467,9 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
     word = np.repeat(np.arange(1, n + 1), m)
 
     def kernel(pi, tau):
-        occ = np.argsort(pi, axis=1, kind="stable").reshape(-1, n, m)
+        # the letters in their smallest type: numpy radix-sorts 8- and 16-bit keys
+        keys = pi.astype(np.min_scalar_type(n), copy=False)
+        occ = np.argsort(keys, axis=1, kind="stable").reshape(-1, n, m)
         direct = _contains_subsequence(occ, w)
         projected = _contains_subsequence(_occ_tensor(tau, m, n), w)
         return np.stack([direct, projected], axis=1)

@@ -184,6 +184,88 @@ def test_observation2_catches_an_occurrence_tensor_out_of_order(monkeypatch):
         assert rep.freq_labeled < rep.freq_multiset and rep.gap_in_se > 4, (n, rep)
 
 
+def _lockstep_lmax_reference(occ):
+    # the l_max kernel of version 0.3.0: one chain per (trial, start), all
+    # stepped in lockstep until every chain has died
+    trials, n, m = occ.shape
+    flat = occ.reshape(trials * n, m)
+    edges = np.arange(trials + 1) * n
+    past_top = np.zeros(trials * n + 1, dtype=bool)
+    past_top[n::n] = True
+    chain = np.arange(trials * n)
+    cur = flat[:, 0]
+    length = np.ones(trials, dtype=np.int64)
+    while chain.size:
+        chain += 1
+        rows = flat.take(chain, axis=0, mode="clip")
+        idx = _rank(rows, cur)
+        ok = np.flatnonzero((idx < m) & ~past_top[chain])
+        chain, cur = chain[ok], rows.ravel()[ok * m + idx[ok]]
+        length += np.diff(np.searchsorted(chain, edges)) > 0
+    return length
+
+
+def _landings(occ_trial, v):
+    # which copy of each next value the chain from value v + 1 lands on
+    copies, pos = [], occ_trial[v, 0]
+    for row in occ_trial[v + 1:]:
+        later = np.flatnonzero(row > pos)
+        if later.size == 0:
+            break
+        copies.append(int(later[0]))
+        pos = row[later[0]]
+    return copies
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lmax_kernel_matches_the_lockstep_kernel(m):
+    # chains that reach a first copy merge into that row's chain; the rest
+    # (excursions) step on until they die or merge.  The blocks hold
+    # several trials, and for m >= 2 excursions that die, that merge, and
+    # chains through two or more merges
+    rng = np.random.default_rng(900 + m)
+    died = merged = deep = 0
+    for n in (1, 2, 3, 7, 40, 300):
+        for trials in (2, 3, 17):
+            block = np.stack([rng.permutation(m * n) for _ in range(trials)])
+            occ = _occ_tensor(block, m, n)
+            got = _lmax_from_occ(occ)
+            assert got.tolist() == _lockstep_lmax_reference(occ).tolist(), (m, n, trials)
+            landings = [[_landings(t, v) for v in range(n)] for t in occ]
+            assert got.tolist() == [1 + max(map(len, chains)) for chains in landings]
+            for chains in landings:
+                for copies in chains:
+                    kinds = "".join("0" if c == 0 else "x" for c in copies)
+                    if kinds.startswith("x"):
+                        merged += "0" in kinds
+                        died += "0" not in kinds
+                    deep += kinds.count("x0") >= 2
+    if m == 1:
+        assert died == merged == deep == 0
+    else:
+        assert min(died, merged, deep) > 0, (died, merged, deep)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 2000])
+def test_lmax_at_m_1_is_the_longest_ascending_run_of_the_inverse(n):
+    # at m = 1 every chain runs on through values whose positions rise: the
+    # longest run v, v+1, ... ascending in the inverse permutation
+    rng = np.random.default_rng(n)
+    perms = [rng.permutation(n) for _ in range(40)]
+    perms.append(np.arange(n))
+    perms.append(np.arange(n)[::-1])
+    inverse = np.stack([np.argsort(p) for p in perms])
+    want = []
+    for positions in inverse.tolist():
+        best = run = 1
+        for a, b in zip(positions, positions[1:]):
+            run = run + 1 if b > a else 1
+            best = max(best, run)
+        want.append(best)
+    assert _lmax_from_occ(inverse[:, :, None]).tolist() == want
+    assert want[-2:] == [n, 1]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_rank_counts_entries_at_or_before_pos(m):
     rng = np.random.default_rng(m)

@@ -29,6 +29,8 @@ def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
     assert (record["m"], record["n"], record["trials"], record["kernel"]) == (2, 50, 4, kernel)
     assert set(record["ms_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
+    assert set(record["faults_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
+    assert all(f >= 0 for f in record["faults_per_trial"].values())
 
 
 def test_mc_stages_times_the_label_scatter_from_n_2_16(capsys):
@@ -38,6 +40,8 @@ def test_mc_stages_times_the_label_scatter_from_n_2_16(capsys):
     assert record["n"] == 70000
     assert set(record["ms_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
+    assert set(record["faults_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
+    assert all(f >= 0 for f in record["faults_per_trial"].values())
 
 
 def test_root_stages_prints_one_line_of_stage_times(capsys):
