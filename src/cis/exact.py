@@ -8,10 +8,12 @@ Two independent exact routes compute Pr[l1(w) = n] for uniform w in S_{m,n}:
        h_m(n) = sum  multinomial(n; i_1..i_m) * (mn)!/l! * (-1)^(l-n)
                      / prod_j ((m-j)!)^(i_j),        l = sum_j j*i_j,
 
-   divided by |S_{m,n}| = (mn)!/(m!)^n.  The compositions with the same l
-   are summed first, and the sum over l shares route 2's Horner pass
-   (_phi_numerator); enumeration (words.count_complete_bruteforce) checks
-   that pass on its own.
+   divided by |S_{m,n}| = (mn)!/(m!)^n.  The compositions are listed by
+   stars and bars, with no recursion, and each multinomial is a product of
+   binomials, C(n, i_1) C(n - i_1, i_2) ..., so no factorial enters the
+   loop.  The compositions with the same l are summed first, and the sum
+   over l shares route 2's Horner pass (_phi_numerator); enumeration
+   (words.count_complete_bruteforce) checks that pass on its own.
 
 2. A generating-function pipeline: with q_m(x) = -m! * sum_{j=1..m}
    x^j/(m-j)!, raise it to the n-th power, divide the coefficient of x^l
@@ -39,7 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, combinations, count
+from math import comb, factorial
+from operator import mul
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistency, NoConvergence, SpaceTooLarge
@@ -47,16 +51,14 @@ from .words import count_complete_bruteforce, multiset_count
 
 WeakComposition = tuple[int, ...]
 
-_FACT: list[int] = [1]
-_FACT_MEMO = 1024  # _fact keeps k! for k below this; a memo up to 20000! would hold 350 MB
-
-# most weak compositions horton_kurn_h will enumerate, at a few microseconds each
+# most weak compositions horton_kurn_h will enumerate, at about 2 microseconds
+# each, 0.4 of them to list the composition and the rest for its term
 COMPOSITION_CAP = 10**6
 # most compositions x (mn)^2 horton_kurn_h will take on.  The compositions are
 # summed by l first and (mn)!/l! enters through one Horner pass over l, so the
 # inputs under both caps take at most a few seconds on one core, mostly in the
-# compositions: (2, 2000) at 3.2e10 takes about 0.6 s, (7, 25) at 2.3e10
-# (736,281 compositions) about 3.6 s
+# compositions: (2, 2000) at 3.2e10 takes about 0.1 s, (7, 25) at 2.3e10
+# (736,281 compositions) about 1.2 s
 HK_WORK_CAP = 5 * 10**10
 # highest degree n(m-1) of u_m^n that p_value and l1_finite_expectation build;
 # (m, n) = (2, 4000) takes about 8 s on one core
@@ -66,32 +68,29 @@ GF_DEGREE_CAP = 4000
 SERIES_DEGREE_CAP = 11_000
 
 
-def _fact(k: int) -> int:
-    """k!, from a module-level memo table for k below _FACT_MEMO."""
-    if k >= _FACT_MEMO:
-        return math.factorial(k)
-    while len(_FACT) <= k:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[k]
-
-
 def weak_compositions(n: int, m: int) -> Iterator[WeakComposition]:
     """All m-tuples of non-negative integers summing to n, lexicographically.
 
-    There are C(n+m-1, m-1) of them.
+    There are C(n+m-1, m-1) of them: stars and bars, where the m-1 bars
+    sit at positions b_1 < ... < b_(m-1) of range(n+m-1) and the parts
+    are the gaps between them.  itertools.combinations lists the bar
+    positions lexicographically, which lists the tuples lexicographically.
     """
     if n < 0 or m < 1:
         raise DomainError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
+    return _stars_and_bars(n, m)
 
-    def rec(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
 
-    return rec(n, m)
+def _stars_and_bars(n: int, m: int) -> Iterator[WeakComposition]:
+    end = n + m - 1
+    for bars in combinations(range(end), m - 1):
+        parts = []
+        prev = -1
+        for b in bars:
+            parts.append(b - prev - 1)
+            prev = b
+        parts.append(end - prev - 1)
+        yield tuple(parts)
 
 
 def horton_kurn_h(m: int, n: int) -> int:
@@ -102,15 +101,17 @@ def horton_kurn_h(m: int, n: int) -> int:
     (see _gf_powers) in integers, and then takes the alternating sum over
     l of (mn)!/l! with one Horner pass (_phi_numerator).  That is
     (m!)^n h; the division must be exact, otherwise the formula was
-    evaluated wrongly and InternalInconsistency is raised.  Raises
-    SpaceTooLarge when there are more than COMPOSITION_CAP weak
-    compositions to sum over, or when compositions x (mn)^2 exceeds
-    HK_WORK_CAP.
+    evaluated wrongly and InternalInconsistency is raised.  The
+    multinomial is a running product of binomials C(rest, i_j), where
+    rest = i_j + ... + i_m is what is left of n before part j, so no
+    factorial is taken per composition.  Raises SpaceTooLarge when there
+    are more than COMPOSITION_CAP weak compositions to sum over, or when
+    compositions x (mn)^2 exceeds HK_WORK_CAP.
     """
     if m < 1 or n < 1:
         raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     mn = m * n
-    comps = math.comb(n + m - 1, m - 1)
+    comps = comb(n + m - 1, m - 1)
     if comps > COMPOSITION_CAP:
         raise SpaceTooLarge(
             f"h_{m}({n}) sums over C({n + m - 1}, {m - 1}) weak compositions, more than {COMPOSITION_CAP}"
@@ -120,24 +121,24 @@ def horton_kurn_h(m: int, n: int) -> int:
             f"h_{m}({n}) sums {comps} weak compositions over ({mn})!, "
             f"and {comps} x {mn}^2 is more than {HK_WORK_CAP}"
         )
-    # r_j = (m-1)!/(m-j)! is an integer for j = 1..m
-    ratios = [0] + [_fact(m - 1) // _fact(m - j) for j in range(1, m + 1)]
+    # r_j = (m-1)!/(m-j)! = (m-1)(m-2)...(m-j+1) for j = 1..m, as running
+    # products: two factorials per j take seconds from m = 2500 on
+    ratios = [0, *accumulate(range(m - 1, 0, -1), mul, initial=1)]
     rpow = [[r**i for i in range(n + 1)] for r in ratios]
-    fact_n = _fact(n)
     # coeffs[l - n] collects the compositions with sum_j j*i_j = l: it is
     # the coefficient of x^(l-n) in u_m^n, as multinomial(n; i) * prod r_j^(i_j)
     coeffs = [0] * (mn - n + 1)
     for comp in weak_compositions(n, m):
         l = 0
-        multinom = fact_n
-        rprod = 1
+        rest = n
+        term = 1
         for j, ij in enumerate(comp, start=1):
             if ij:
                 l += j * ij
-                multinom //= _fact(ij)
-                rprod *= rpow[j][ij]
-        coeffs[l - n] += multinom * rprod
-    h, rem = divmod(_phi_numerator(m, n, coeffs), _fact(m) ** n)
+                term *= comb(rest, ij) * rpow[j][ij]
+                rest -= ij
+        coeffs[l - n] += term
+    h, rem = divmod(_phi_numerator(m, n, coeffs), factorial(m) ** n)
     if rem:
         raise InternalInconsistency(
             f"composition sum for h_{m}({n}) is not an integer multiple of (m!)^n"
@@ -150,21 +151,21 @@ def q_poly(m: int) -> tuple[int, ...]:
 
     Its n-th power, pushed through Phi and evaluated at -1, reproduces the
     complete-run probability for alphabet size n.  All coefficients are
-    integers because (m-j)! divides m!.
+    integers: m!/(m-j)! = m(m-1)...(m-j+1), taken as running products.
     """
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
-    return (0, *(-(_fact(m) // _fact(m - j)) for j in range(1, m + 1)))
+    return (0, *(-c for c in accumulate(range(m, 0, -1), mul)))
 
 
 def phi_apply(coeffs) -> tuple[Fraction, ...]:
     """Linear map x^k -> x^k / k! on coefficients, constant term first."""
-    return tuple(Fraction(c) / _fact(k) for k, c in enumerate(coeffs))
+    return tuple(Fraction(c) / factorial(k) for k, c in enumerate(coeffs))
 
 
 def phi_inverse(coeffs) -> tuple[Fraction, ...]:
     """Inverse of phi_apply: x^k -> k! * x^k."""
-    return tuple(Fraction(c) * _fact(k) for k, c in enumerate(coeffs))
+    return tuple(Fraction(c) * factorial(k) for k, c in enumerate(coeffs))
 
 
 def _check_degree(m: int, n: int) -> None:
@@ -231,7 +232,7 @@ def p_value(m: int, n: int) -> Fraction:
     _check_degree(m, n)
     for k, p in _gf_powers(m):
         if k == n:
-            return Fraction(_phi_numerator(m, n, p), math.factorial(m * n))
+            return Fraction(_phi_numerator(m, n, p), factorial(m * n))
 
 
 def complete_prob(m: int, n: int, engine: str = "hk") -> Fraction:

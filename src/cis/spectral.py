@@ -27,18 +27,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 
 from .errors import DomainError, NoConvergence
-from .exact import _fact
 
 
 def truncated_exp(m: int) -> tuple[Fraction, ...]:
     """Coefficients of E_m(x) = sum_{k=0..m} x^k / k!, constant term first."""
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    return tuple(Fraction(1, _fact(k)) for k in range(m + 1))
+    return tuple(Fraction(1, factorial(k)) for k in range(m + 1))
 
 
 def zemyan_targets(m: int) -> list[Fraction]:
@@ -47,8 +47,8 @@ def zemyan_targets(m: int) -> list[Fraction]:
         raise DomainError(f"need m >= 1, got {m}")
     out = [Fraction(-1)]
     out.extend([Fraction(0)] * (m - 1))
-    out.append(Fraction(1, _fact(m)))
-    out.append(Fraction(-1, _fact(m)))
+    out.append(Fraction(1, factorial(m)))
+    out.append(Fraction(-1, factorial(m)))
     return out
 
 
@@ -62,7 +62,7 @@ def inverse_power_sums_exact(m: int, t_max: int) -> list[Fraction]:
     """
     if m < 1 or t_max < 1:
         raise DomainError(f"need m >= 1 and t_max >= 1, got m={m}, t_max={t_max}")
-    e = [Fraction((-1) ** k, _fact(k)) for k in range(m + 1)]
+    e = [Fraction((-1) ** k, factorial(k)) for k in range(m + 1)]
     p: list[Fraction] = []
     for k in range(1, t_max + 1):
         if k <= m:
@@ -81,8 +81,9 @@ def inverse_power_sums_exact(m: int, t_max: int) -> list[Fraction]:
 class RootSet:
     """Certified zeros of E_m, sorted by real part, then imaginary part.
 
-    The real parts are compared rounded to precision_bits // 2 fractional
-    bits, so each conjugate pair lists its lower half-plane member first.
+    The order is decided on the fixed-point points: their real parts are
+    compared rounded half to even to precision_bits // 2 fractional bits,
+    so each conjugate pair lists its lower half-plane member first.
 
     roots are the fixed-point points the iteration stopped at, with
     precision_bits + 64 fractional bits, as exact mpmath numbers.
@@ -168,7 +169,7 @@ def _double_start(m):
             complex(radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf("0.371")) / m)))
             for k in range(m)
         ]
-    coeffs = [1 / _fact(k) for k in range(m + 1)]
+    coeffs = [1 / factorial(k) for k in range(m + 1)]
     while coeffs[-1] == 0:
         coeffs.pop()
     _aberth(coeffs, z, _DOUBLE_STOP, min(_DOUBLE_SWEEPS, 1 + _DOUBLE_PAIRS // m**2))
@@ -271,16 +272,6 @@ def _aberth_fixed(cs, xs, ys, p, stop_bits, max_sweeps):
     return False, max_sweeps
 
 
-def _root_key(c, bits):
-    """Sort key: real part rounded to `bits` fractional bits, then imaginary.
-
-    The real parts of a conjugate pair differ only by rounding noise, so
-    rounding them well above it makes the pair tie on the real part and
-    list its lower half-plane member first.
-    """
-    return (int(mp.nint(mp.ldexp(c.real, bits))), c.imag)
-
-
 def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     """All m zeros of E_m(x) by Aberth-Ehrlich simultaneous iteration.
 
@@ -288,10 +279,12 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     of radius m/2 (_double_start), then from those points on fixed-point
     Gaussian integers with p = precision_bits + 64 fractional bits
     (_aberth_fixed), until the relative step is below
-    2^-(precision_bits + 16).  The roots are then sorted by real part
-    (rounded to precision_bits // 2 fractional bits) and then imaginary
-    part, so each conjugate pair lists its lower member first.  mpmath,
-    as a second arithmetic, evaluates the residuals |E_m(alpha_i)|.
+    2^-(precision_bits + 16).  The fixed-point points are then sorted in
+    integers by real part (rounded half to even to precision_bits // 2
+    fractional bits) and then imaginary part, so each conjugate pair lists
+    its lower member first, and converted to mpmath once, in that order.
+    mpmath, as a second arithmetic, evaluates the residuals
+    |E_m(alpha_i)|.
 
     Deterministic for fixed (m, precision_bits).  Raises NoConvergence if
     the integer sweeps stall or run out, or if a certification check fails
@@ -303,22 +296,32 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
         raise DomainError(f"need precision_bits >= 24, got {precision_bits}")
     start = _double_start(m)
     p = precision_bits + 64
-    fm = _fact(m)
-    cs = [fm // _fact(k) << p for k in range(m)]
+    fm = factorial(m)
+    cs = [fm // factorial(k) << p for k in range(m)]
     xs = [_to_fixed(c.real, p) for c in start]
     ys = [_to_fixed(c.imag, p) for c in start]
     converged, _ = _aberth_fixed(cs, xs, ys, p, precision_bits + 16, 200 + 10 * m)
     if not converged:
         raise NoConvergence(f"Aberth iteration stalled for m={m} at {precision_bits} bits")
+    # the real parts of a conjugate pair differ only by rounding noise, so
+    # rounding them (half to even) well above it to precision_bits // 2
+    # fractional bits makes the pair tie there, and y then lists its lower
+    # half-plane member first
+    shift = p - precision_bits // 2
+    half = 1 << (shift - 1)
+
+    def key(point):
+        q, r = divmod(point[0], 1 << shift)
+        return q + (r > half or (r == half and q & 1)), point[1]
+
+    points = sorted(zip(xs, ys), key=key)
     # at a precision that holds every coordinate exactly
     with mp.workprec(max(abs(v).bit_length() for v in xs + ys) + 1):
-        z = [mp.mpc(mp.mpf((x, -p)), mp.mpf((y, -p))) for x, y in zip(xs, ys)]
+        z = [mp.mpc(mp.mpf((x, -p)), mp.mpf((y, -p))) for x, y in points]
     with mp.workprec(p):
-        order = sorted(range(m), key=lambda i: _root_key(z[i], precision_bits // 2))
-        z = [z[i] for i in order]
         residuals = _residuals(m, z)
         tol = mp.mpf(10) ** (-(precision_bits // 4))
-        _certify(m, precision_bits, list(zip(xs, ys)), p, residuals, tol)
+        _certify(m, precision_bits, points, p, residuals, tol)
     return RootSet(
         m=m,
         precision_bits=precision_bits,
@@ -330,7 +333,7 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
 
 def _residuals(m, roots):
     """|E_m(alpha)| for each root, in mpmath at the current working precision."""
-    coeffs = [mp.mpf(1) / _fact(k) for k in range(m + 1)]
+    coeffs = [mp.mpf(1) / factorial(k) for k in range(m + 1)]
     return tuple(abs(_horner(coeffs, a)) for a in roots)
 
 
@@ -473,7 +476,7 @@ def reciprocal_series(m: int, K: int) -> ReciprocalSeries:
     """
     if m < 1 or K < 0:
         raise DomainError(f"need m >= 1 and K >= 0, got m={m}, K={K}")
-    a = [Fraction(_fact(m + 1), _fact(m + 1 + k)) for k in range(K + 1)]
+    a = [Fraction(factorial(m + 1), factorial(m + 1 + k)) for k in range(K + 1)]
     c = [Fraction(1)]
     for k in range(1, K + 1):
         acc = Fraction(0)

@@ -70,3 +70,10 @@ def test_criterion_12_longest_increasing_subsequence_probe():
 
 def test_criterion_13_seeded_determinism_across_repeated_runs():
     _check(13)
+
+
+def test_every_criterion_passes_at_the_quick_level():
+    results = acceptance.run_all("quick")
+    assert [r.cid for r in results] == list(range(1, 14))
+    failed = [f"[{r.cid:>2}] {r.name}: {r.detail}" for r in results if not r.passed]
+    assert not failed, "\n".join(failed)

@@ -266,6 +266,17 @@ def test_digit_limit_is_read_not_changed(run_cli, monkeypatch, tmp_path):
     assert sys.get_int_max_str_digits() == before
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("prob-complete", "--m", "1000", "--n", "1", "--engine", "hk"), "1"),
+    (("bounds", "block-lower", "--m", "1500", "--n", "2", "--k", "1"), 1.0),
+    (("mc", "obs1", "--m", "1500", "--n", "2", "--k", "1", "--trials", "10", "--seed", "1"), [1.0, 1.0]),
+], ids=["prob-complete", "bounds-block-lower", "mc-obs1"])
+def test_hk_answers_with_a_thousand_parts(run_cli, argv, value):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
 def test_cardgame_strategy_choices_are_the_card_game_strategies():
     row = next(c for c in cli.COMMANDS if c.path == ("cardgame",))
     assert next(kw["choices"] for _, flag, kw in row.args if flag == "--strategy") == cardgame.STRATEGIES

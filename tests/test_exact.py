@@ -3,6 +3,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from cis import (
     phi_apply,
     phi_inverse,
     q_poly,
+    weak_compositions,
 )
 from cis import exact
 
@@ -114,6 +116,25 @@ def test_h_known_values():
     assert horton_kurn_h(2, 3) == count_complete_bruteforce(2, 3)
     assert horton_kurn_h(3, 2) == count_complete_bruteforce(3, 2)
     assert horton_kurn_h(3, 3) == count_complete_bruteforce(3, 3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(7))
+def test_weak_compositions_are_the_sorted_tuples_summing_to_n(n, m):
+    expected = sorted(t for t in product(range(n + 1), repeat=m) if sum(t) == n)
+    assert list(weak_compositions(n, m)) == expected
+
+
+def test_weak_compositions_check_their_arguments_when_called():
+    for n, m in ((-1, 2), (3, 0)):
+        with pytest.raises(DomainError):
+            weak_compositions(n, m)
+
+
+def test_horton_kurn_h_takes_a_thousand_parts():
+    # one part per value: a generator frame per part would pass the recursion limit
+    assert horton_kurn_h(1000, 1) == 1
+    assert sum(1 for _ in weak_compositions(1, 1500)) == 1500
 
 
 def test_single_value_words_always_complete():

@@ -62,6 +62,12 @@ def test_a_cached_roots_record_loads_neither(tmp_path):
     assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == set()
 
 
+def test_spectral_loads_neither_exact_nor_words(tmp_path):
+    code = ('import json, sys, cis.spectral\n'
+            'print(json.dumps([m for m in ("cis.exact", "cis.words") if m in sys.modules]), file=sys.stderr)')
+    assert _loaded(code, cache=tmp_path) == set()
+
+
 # every name cis 0.3.0 exported, by the module that defines it
 _EXPORTS = {
     "errors": ("AlphabetViolation", "CisError", "DomainError", "InternalInconsistency",
