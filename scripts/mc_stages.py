@@ -8,10 +8,13 @@ each trial's copy of the labels 0..mn-1 (montecarlo._base), the
 occurrence tensor (_occ_tensor: a radix argsort of label // m, or for
 n >= 2^16 a scatter of the labels) and a kernel on it (l_max unless
 --kernel says otherwise), and it reports the median over blocks of each
-stage's time divided by the block's trials (ms_per_trial).  It counts
-the process's minor page faults (getrusage ru_minflt) the same way
-(faults_per_trial): a fault is a fresh page of memory, and at n = 10^5
-each costs about as much as touching the page's data once more.
+stage's time divided by the block's trials (ms_per_trial).  --kernel lis
+runs the lockstep patience sort (_lis_from_block) on the labels, in
+estimate_lis' larger blocks, and builds no occurrence tensor: its occ
+stage reads 0.  It counts the process's minor page faults (getrusage
+ru_minflt) the same way (faults_per_trial): a fault is a fresh page of
+memory, and at n = 10^5 each costs about as much as touching the page's
+data once more.
 """
 
 import argparse
@@ -21,12 +24,14 @@ import statistics
 import time
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded here, or its import would count as the first re-key
 
 from cis import cardgame, montecarlo
 from cis.rng import substreams
 
 KERNELS = {"l1": montecarlo._l1_from_occ, "lmax": montecarlo._lmax_from_occ,
-           "safe": cardgame._safe_score, "shifting": cardgame._shifting_score}
+           "safe": cardgame._safe_score, "shifting": cardgame._shifting_score,
+           "lis": montecarlo._lis_from_block}
 
 
 def _faults() -> int:
@@ -41,7 +46,9 @@ def main(argv=None) -> None:
     parser.add_argument("--kernel", choices=tuple(KERNELS), default="lmax")
     args = parser.parse_args(argv)
     base = montecarlo._base(args.m, args.n)
-    size = max(1, montecarlo._BLOCK_LETTERS // len(base))
+    lis = args.kernel == "lis"
+    letters = montecarlo._LIS_BLOCK_LETTERS if lis else montecarlo._BLOCK_LETTERS
+    size = max(1, letters // len(base))
     streams = substreams(args.seed, args.trials)
     stages = ("rekey", "shuffle", "occ", "kernel")
     per_trial = {stage: [] for stage in stages}
@@ -61,9 +68,13 @@ def main(argv=None) -> None:
             faults["rekey"] += f1 - f0
             faults["shuffle"] += _faults() - f1
         f0, t0 = _faults(), time.perf_counter()
-        occ = montecarlo._occ_tensor(block, args.m, args.n)
-        t1, f1 = time.perf_counter(), _faults()
-        KERNELS[args.kernel](occ)
+        if lis:
+            t1, f1 = t0, f0
+            KERNELS["lis"](block, args.m, args.n)
+        else:
+            occ = montecarlo._occ_tensor(block, args.m, args.n)
+            t1, f1 = time.perf_counter(), _faults()
+            KERNELS[args.kernel](occ)
         spent["occ"], spent["kernel"] = t1 - t0, time.perf_counter() - t1
         faults["occ"], faults["kernel"] = f1 - f0, _faults() - f1
         for stage in stages:

@@ -13,8 +13,9 @@ array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
 Labels are np.intp, the one item size Generator.shuffle has a fast path
 for; the narrower types live in _occ_tensor alone (8- or 16-bit sort
 keys for the radix sort, an int32 tensor past that).  Blocks hold about
-_BLOCK_LETTERS letters and at least one trial.  _base refuses words
-longer than _MAX_LETTERS before allocating anything.
+_BLOCK_LETTERS letters (estimate_lis: _LIS_BLOCK_LETTERS) and at least
+one trial.  _base refuses words longer than _MAX_LETTERS before
+allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
@@ -39,12 +40,20 @@ chains run on into each other, plus the chain that ends it.  _rank
 counts the entries of each row at or before a position, over the row's
 m columns.  _occ_values runs a kernel over the occurrence tensor of each
 block of sampled words.
+
+The LIS needs no occurrence tensor.  _lis_from_block runs patience sort
+on all the words of a block in lockstep, one letter column at a time:
+row t's letters are offset by t(n+1), so every row's tails lie in one
+sorted flat array, and one searchsorted per column finds each row's
+bisect_left slot.  That is a Python step per column rather than per
+letter, so estimate_lis takes blocks of _LIS_BLOCK_LETTERS = 2^19
+letters (52 trials at n = 10^4); every other estimator keeps the smaller
+_BLOCK_LETTERS, which bounds its peak memory.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -56,6 +65,7 @@ from .exact import complete_prob
 from .rng import substreams
 
 _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
+_LIS_BLOCK_LETTERS = 1 << 19  # the same for estimate_lis, whose kernel loops per column
 _RANK_COLUMNS = 4  # widest rows that _rank sums column by column
 _MAX_LETTERS = 10**8  # longest word a trial may sample
 _WIDE_N = 1 << 16  # from this n on, _occ_tensor scatters the labels
@@ -90,17 +100,19 @@ def _check_trials(trials: int) -> None:
         raise DomainError(f"need trials >= 2, got {trials}")
 
 
-def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable) -> np.ndarray:
+def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable,
+             block_letters: int | None = None) -> np.ndarray:
     """Fill a (trials, width) array block by block.
 
     Trial i shuffles a copy of each base, in order, with the stream keyed
     by (seed, i).  kernel(*blocks) maps the (T, len(base)) blocks of
     shuffled bases to the T trials' values, shape (T,) or (T, width); the
-    first block's values fix the width.
+    first block's values fix the width.  A block holds about block_letters
+    letters (_BLOCK_LETTERS by default) and at least one trial.
     """
     _check_trials(trials)
     values = None
-    size = max(1, _BLOCK_LETTERS // sum(len(b) for b in bases))
+    size = max(1, (block_letters or _BLOCK_LETTERS) // sum(len(b) for b in bases))
     streams = substreams(seed, trials)
     for start in range(0, trials, size):
         count = min(size, trials - start)
@@ -272,15 +284,44 @@ def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(best, np.searchsorted(ends, np.arange(0, rows, n))) - 1
 
 
-def _lis_from_letters(letters: np.ndarray) -> int:
-    tails: list[int] = []
-    for x in letters.tolist():
-        i = bisect_left(tails, x)
-        if i == len(tails):
-            tails.append(x)
-        else:
-            tails[i] = x
-    return len(tails)
+def _lis_from_block(block: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Longest strictly increasing subsequence of each word of a block of _base(m, n) rows.
+
+    Patience sort for every row at once, one letter column at a time.  Row
+    t's letters are shifted by t(n+1), and its cap tails sit in slots
+    t*cap .. t*cap + cap - 1 of one flat array, the free ones holding the
+    row's sentinel t(n+1) + n.  The flat array is then sorted throughout,
+    and the first slot at or above a shifted letter is the row's
+    bisect_left slot, so one searchsorted and one scatter update every row.
+    A row's LIS is its number of slots below its sentinel.  cap starts at
+    min(64, n) and doubles, up to n, once some row fills more than half of
+    it; each chunk of columns is at most cap less the longest row's tails,
+    so no row outgrows its slots, and once cap = n no row can.  The shifted
+    letters are built per chunk into a C-order (chunk, T) array, so each
+    column is contiguous; tails and keys each stay within the block's size.
+    """
+    trials, length = block.shape
+    top = np.arange(trials, dtype=np.int64) * (n + 1) + n  # each row's sentinel
+    shift = top - n
+    rows = np.arange(trials)
+    cap = min(64, n)
+    tails = np.repeat(top, cap)
+    longest = start = 0
+    while start < length:
+        if cap < n and 2 * longest > cap:
+            grown = np.repeat(top, min(2 * cap, n)).reshape(trials, -1)
+            grown[:, :cap] = tails.reshape(trials, cap)
+            tails, cap = grown.ravel(), grown.shape[1]
+        stop = length if cap == n else min(length, start + cap - longest)
+        keys = np.empty((stop - start, trials), dtype=np.int64)
+        np.floor_divide(block[:, start:stop].T, m, out=keys)
+        keys += shift
+        for col in keys:
+            tails[tails.searchsorted(col)] = col
+        start = stop
+        lengths = tails.searchsorted(top) - rows * cap
+        longest = int(lengths.max())
+    return lengths
 
 
 def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
@@ -302,11 +343,18 @@ def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
 
 
 def estimate_lis(m: int, n: int, trials: int, seed: int) -> Estimate:
-    """Sample mean of the longest strictly increasing subsequence."""
+    """Sample mean of the longest strictly increasing subsequence.
+
+    Trials run in blocks of about _LIS_BLOCK_LETTERS letters, and
+    _lis_from_block runs patience sort on a block's words in lockstep: one
+    searchsorted and one scatter per letter column update the tails of
+    every word at once.  Each word's value is the one a bisect_left
+    patience sort of its letters gives.
+    """
     _check_mn(m, n)
 
-    values = _collect(trials, seed, [_base(m, n)],
-                      lambda block: [_lis_from_letters(row) for row in _letters(block, m)])
+    values = _collect(trials, seed, [_base(m, n)], lambda block: _lis_from_block(block, m, n),
+                      _LIS_BLOCK_LETTERS)
     return Estimate.from_values(values, seed)
 
 

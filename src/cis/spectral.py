@@ -272,6 +272,18 @@ def _aberth_fixed(cs, xs, ys, p, stop_bits, max_sweeps):
     return False, max_sweeps
 
 
+def _root_key(point: tuple[int, int], shift: int) -> tuple[int, int]:
+    """Sort key of a fixed-point root (x, y): x rounded half to even to shift fewer bits, then y.
+
+    The real parts of a conjugate pair differ only by rounding noise, so
+    rounding them well above it makes the pair tie, and y then lists its
+    lower half-plane member first.
+    """
+    q, r = divmod(point[0], 1 << shift)
+    half = 1 << (shift - 1)
+    return q + (r > half or (r == half and q & 1)), point[1]
+
+
 def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     """All m zeros of E_m(x) by Aberth-Ehrlich simultaneous iteration.
 
@@ -303,18 +315,8 @@ def find_roots(m: int, precision_bits: int = 128) -> RootSet:
     converged, _ = _aberth_fixed(cs, xs, ys, p, precision_bits + 16, 200 + 10 * m)
     if not converged:
         raise NoConvergence(f"Aberth iteration stalled for m={m} at {precision_bits} bits")
-    # the real parts of a conjugate pair differ only by rounding noise, so
-    # rounding them (half to even) well above it to precision_bits // 2
-    # fractional bits makes the pair tie there, and y then lists its lower
-    # half-plane member first
     shift = p - precision_bits // 2
-    half = 1 << (shift - 1)
-
-    def key(point):
-        q, r = divmod(point[0], 1 << shift)
-        return q + (r > half or (r == half and q & 1)), point[1]
-
-    points = sorted(zip(xs, ys), key=key)
+    points = sorted(zip(xs, ys), key=lambda point: _root_key(point, shift))
     # at a precision that holds every coordinate exactly
     with mp.workprec(max(abs(v).bit_length() for v in xs + ys) + 1):
         z = [mp.mpc(mp.mpf((x, -p)), mp.mpf((y, -p))) for x, y in points]

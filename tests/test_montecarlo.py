@@ -1,6 +1,7 @@
 """Monte Carlo kernels against exact references, plus pinned seeded outputs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cis.montecarlo import (
     _contains_subsequence,
     _l1_from_occ,
     _letters,
-    _lis_from_letters,
+    _lis_from_block,
     _lmax_from_occ,
     _occ_tensor,
     _rank,
@@ -128,7 +129,7 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         occ = _occ_tensor(labels, m, n)
         return np.column_stack([
             letters, _l1_from_occ(occ), _lmax_from_occ(occ), _safe_score(occ),
-            _shifting_score(occ), [_lis_from_letters(row) for row in letters],
+            _shifting_score(occ), _lis_from_block(labels, m, n),
             *(_walk(occ, range(i - 1, n)) for i in range(1, n + 1)),
             *(_contains_subsequence(occ, p) for p in patterns),
         ])
@@ -306,6 +307,55 @@ def test_single_value_alphabet_is_deterministic():
     assert est.std_error == 0.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 40, 300])
+def test_lis_kernel_matches_the_quadratic_reference(m, n):
+    rng = np.random.default_rng(1000 * m + n)
+    for trials in (1, 2, 17):
+        block = np.stack([rng.permutation(_base(m, n)) for _ in range(trials)])
+        want = [_lis_reference(row) for row in _letters(block, m).tolist()]
+        assert _lis_from_block(block, m, n).tolist() == want, (m, n, trials)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lis_kernel_grows_its_tails_past_64(m):
+    # rows whose LIS passes the first 64 slots, next to rows that stay short
+    n = 300
+    rng = np.random.default_rng(5)
+    nearly_sorted = _base(m, n).copy()
+    for i in rng.integers(0, m * n - 1, size=40):
+        nearly_sorted[[i, i + 1]] = nearly_sorted[[i + 1, i]]
+    block = np.stack([_base(m, n), _base(m, n)[::-1], nearly_sorted, rng.permutation(_base(m, n))])
+    want = [_lis_reference(row) for row in _letters(block, m).tolist()]
+    assert want[0] == n and want[1] == 1 and want[2] > 128
+    assert _lis_from_block(block, m, n).tolist() == want
+
+
+def test_estimate_lis_is_the_same_at_every_block_size(monkeypatch):
+    m, n, trials, seed = 2, 30, 20, 64
+    want = [_lis_reference((substream(seed, i).permutation(_base(m, n)) // m).tolist())
+            for i in range(trials)]
+    estimates = []
+    for per_block in (1, 7, trials):
+        monkeypatch.setattr(montecarlo, "_LIS_BLOCK_LETTERS", per_block * m * n)
+        estimates.append(estimate_lis(m, n, trials, seed))
+    assert estimates[0] == estimates[1] == estimates[2]
+    assert estimates[0] == Estimate.from_values(np.array(want, dtype=np.float64)[:, None], seed)
+
+
+def test_estimate_lis_memory_stays_within_a_few_blocks():
+    # 200,000 one-letter trials fill one block; the tails hold n = 1 slot
+    # per trial, not the 64 they start with at larger n
+    tracemalloc.start()
+    try:
+        est = estimate_lis(1, 1, 200_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.mean == 1.0
+    assert peak <= 4 * montecarlo._LIS_BLOCK_LETTERS * 8
+
+
 def test_estimate_lis_tracks_two_sqrt_n():
     est = estimate_lis(1, 2500, 120, seed=777)
     assert abs(est.mean - 100.0) < 10.0
@@ -339,6 +389,8 @@ def test_seeded_outputs_are_pinned():
     assert pair(estimate_lmax(3, 70000, 4, seed=3)) == (12.75, 0.47871355387816905)
     assert pair(estimate_l1(2, 70000, 12, seed=3)) == (2.3333333333333335, 0.4143877070053741)
     assert pair(estimate_lis(1, 70000, 2, seed=3)) == (517.5, 2.5)
+    # many trials to a block
+    assert pair(estimate_lis(2, 300, 50, seed=7)) == (43.5, 0.280305955290694)
     assert pair(expected_score(2, 70000, "safe", 12, seed=3)) == (2.5, 0.2886751345948129)
     assert pair(expected_score(2, 70000, "shifting", 12, seed=3)) == (
         2.3333333333333335, 0.4143877070053741)

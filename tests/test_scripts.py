@@ -18,10 +18,10 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("kernel", ["l1", "lmax", "safe", "shifting"])
+@pytest.mark.parametrize("kernel", ["l1", "lmax", "safe", "shifting", "lis"])
 def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
     mc_stages = _load("mc_stages")
-    assert set(mc_stages.KERNELS) == {"l1", "lmax", "safe", "shifting"}
+    assert set(mc_stages.KERNELS) == {"l1", "lmax", "safe", "shifting", "lis"}
     mc_stages.main(["--m", "2", "--n", "50", "--trials", "4", "--kernel", kernel])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
@@ -31,6 +31,9 @@ def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
     assert all(ms >= 0 for ms in record["ms_per_trial"].values())
     assert set(record["faults_per_trial"]) == {"rekey", "shuffle", "occ", "kernel"}
     assert all(f >= 0 for f in record["faults_per_trial"].values())
+    if kernel == "lis":
+        # the patience sort reads the labels: no occurrence tensor is built
+        assert record["ms_per_trial"]["occ"] == record["faults_per_trial"]["occ"] == 0
 
 
 def test_mc_stages_times_the_label_scatter_from_n_2_16(capsys):

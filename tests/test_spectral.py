@@ -177,6 +177,22 @@ def test_conjugate_pairs_list_lower_half_plane_first(m):
     assert keys == sorted(keys, key=lambda k: (round(k[0], 9), k[1]))
 
 
+@pytest.mark.parametrize("q", [6, 7])
+def test_root_sort_rounds_real_parts_half_to_even(q):
+    # a conjugate pair whose real part lies exactly halfway between grid
+    # points q and q + 1 rounds to the even one at either parity of q, and
+    # so ties there with a real root: the three list lower, real, upper
+    shift = 40
+    x = (q << shift) + (1 << (shift - 1))
+    even = q + q % 2
+    lower, upper, real = (x, -5), (x, 5), (even << shift, 0)
+    key = functools.partial(spectral._root_key, shift=shift)
+    assert [key(lower), key(real), key(upper)] == [(even, -5), (even, 0), (even, 5)]
+    assert sorted([upper, real, lower], key=key) == [lower, real, upper]
+    # one unit off the boundary rounds to the nearer grid point
+    assert key((x - 1, 0)) == (q, 0) and key((x + 1, 0)) == (q + 1, 0)
+
+
 @pytest.mark.parametrize("m", range(1, 21))
 def test_roots_match_mpmath_polyroots(m):
     ours = find_roots(m).roots
