@@ -29,6 +29,8 @@ COMMANDS = {
     "l1-exact-cold": (("l1-exact", "--m", "2"), False),
     "l1-exact-warm": (("l1-exact", "--m", "2"), True),
     "prob-complete": (("prob-complete", "--m", "2", "--n", "4"), False),
+    "prob-complete-brute": (("prob-complete", "--m", "2", "--n", "3", "--engine", "brute"), False),
+    "gv-code-warm": (("bounds", "gv-code", "--m", "2", "--n", "14", "--delta", "4"), True),
     "invgamma": (("invgamma", "--y", "5040"), False),
     "mc-l1": (("mc", "l1", "--m", "2", "--n", "50", "--trials", "1000", "--seed", "1"), False),
 }

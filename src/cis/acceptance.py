@@ -104,11 +104,23 @@ def _grid(limit: int) -> list[tuple[int, int]]:
 
 
 def _lmax_histogram(m: int, n: int) -> list[int]:
-    """hist[k] = number of words of S_{m,n} whose maximal run has length k."""
-    hist = [0] * (n + 1)
-    for letters in words._iter_letter_tuples(m, n):
-        hist[words._l_max_letters(letters, n)] += 1
-    return hist
+    """hist[k] = number of words of S_{m,n} whose maximal run has length k.
+
+    The l_max dynamic program best[x] = max(best[x], best[x-1] + 1) of
+    words.l_max, run one letter position at a time across all rows of an
+    enumeration block.
+    """
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for block in words._word_blocks(m, n):
+        # best[r, v]: longest run ending in letter v within row r's letters so far
+        best = np.zeros((len(block), n + 1), dtype=np.min_scalar_type(n))
+        flat = best.reshape(-1)
+        row_start = np.arange(0, best.size, n + 1)
+        for col in block.T:
+            at = row_start + col
+            flat[at] = np.maximum(flat[at], flat[at - 1] + 1)
+        hist += np.bincount(best.max(axis=1), minlength=n + 1)
+    return hist.tolist()
 
 
 def _min_distance_ok(code: bounds.CodeBook, m: int, n: int, delta: int) -> bool:

@@ -201,7 +201,7 @@ COMMANDS = (
             lambda m, n, k: (cis.bounds.block_lower_bound(m, n, k), None, {"blocks": n // k}), False),
     Command(("bounds", "gv-code"), "greedy code meeting the Gilbert-Varshamov size",
             (_M, _N, _DELTA, _arg("--cap", default=10**6, help="largest m^n the sieve will touch")),
-            _gv_code, False),
+            _gv_code, True),
     Command(("bounds", "completion-lower"), "inclusion-exclusion floor from a distance-delta code",
             (_M, _N, _arg("--t-size", help="code size"), _DELTA),
             lambda m, n, t_size, delta: _fraction(cis.bounds.completion_lower(m, n, t_size, delta)), False),

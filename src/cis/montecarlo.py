@@ -250,7 +250,9 @@ def _lmax_from_occ(occ: np.ndarray) -> np.ndarray:
     trials, n, m = occ.shape
     rows = trials * n
     flat = occ.reshape(rows, m)
-    first = _rank(flat[1:], flat[:-1, 0])
+    # the first rank pass reads whole columns: rank on a column-major copy
+    f = np.asfortranarray(flat)
+    first = _rank(f[1:], f[:-1, 0])
     s = np.empty(rows, dtype=first.dtype)
     s[:-1] = first
     s[n - 1::n] = m

@@ -36,6 +36,15 @@ def test_second_run_is_served_from_cache(run_cli, tmp_path):
     assert len(list((tmp_path / "cache").rglob("*.json"))) == 1
 
 
+def test_gv_code_is_served_from_cache(run_cli):
+    argv = ("bounds", "gv-code", "--m", "2", "--n", "8", "--delta", "3")
+    rec1, rec2 = (json.loads(run_cli(*argv)[1]) for _ in range(2))
+    assert (rec1["meta"]["cached"], rec2["meta"]["cached"]) == (False, True)
+    for rec in (rec1, rec2):
+        del rec["meta"]["timestamp"], rec["meta"]["cached"]
+    assert rec1 == rec2
+
+
 def test_corrupt_cache_entry_is_recomputed(run_cli, tmp_path, capsys):
     run_cli("prob-complete", "--m", "2", "--n", "3")
     (entry,) = (tmp_path / "cache").rglob("*.json")

@@ -2,8 +2,9 @@
 
 The package exports its names lazily, and the CLI imports a compute module
 only when a command calls it, so numpy loads only where words are sampled
-or codes sieved and mpmath only where spectral code runs.  The audit runs
-fresh interpreters, one at a time, each against its own cache directory.
+or enumerated or codes sieved, and mpmath only where spectral code runs.
+The audit runs fresh interpreters, one at a time, each against its own
+cache directory.
 """
 
 import importlib
@@ -52,6 +53,8 @@ def test_import_cis_loads_neither_numpy_nor_mpmath(tmp_path):
     (("bounds", "tail", "--family", "continuous", "--n", "6", "--m", "2", "--k", "3"), set()),
     # the control: a sampling command does load numpy
     (("mc", "l1", "--m", "2", "--n", "5", "--trials", "10", "--seed", "1"), {"numpy"}),
+    # so does exhaustive enumeration, which runs on numpy blocks
+    (("prob-complete", "--m", "2", "--n", "3", "--engine", "brute"), {"numpy"}),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_commands_load_numpy_and_mpmath_only_where_they_compute_with_them(tmp_path, argv, loaded):
     assert _loaded(_CLI, *argv, cache=tmp_path) == loaded
@@ -60,6 +63,12 @@ def test_commands_load_numpy_and_mpmath_only_where_they_compute_with_them(tmp_pa
 def test_a_cached_roots_record_loads_neither(tmp_path):
     assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == {"mpmath"}
     assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == set()
+
+
+def test_a_cached_gv_code_record_loads_neither(tmp_path):
+    argv = ("bounds", "gv-code", "--m", "2", "--n", "8", "--delta", "3")
+    assert _loaded(_CLI, *argv, cache=tmp_path) == {"numpy"}
+    assert _loaded(_CLI, *argv, cache=tmp_path) == set()
 
 
 def test_spectral_loads_neither_exact_nor_words(tmp_path):

@@ -1,8 +1,11 @@
 """Word structure, run statistics, enumeration, and sampling uniformity."""
 
 import math
+import sys
+import types
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,9 @@ from cis import (
     multiset_count,
     sample_uniform,
 )
-from cis.words import _iter_letter_tuples
+from cis import words
+from cis.acceptance import _lmax_histogram
+from cis.words import _l_max_letters, _word_blocks
 
 
 def contains_in_order(letters, pattern):
@@ -163,6 +168,95 @@ def test_sampler_uniformity_chi_square():
     assert stat < _chi2_critical(df=5, alpha=1e-6)
 
 
-def test_iter_letter_tuples_matches_count():
-    total = sum(1 for _ in _iter_letter_tuples(3, 3))
-    assert total == multiset_count(3, 3)
+def _next_permutation_reference(m, n):
+    """S_{m,n} in lexicographic order by next-permutation steps (Knuth, TAOCP 4A, 7.2.1.2)."""
+    a = [v for v in range(1, n + 1) for _ in range(m)]
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _rows(m, n):
+    return [tuple(row) for block in _word_blocks(m, n) for row in block.tolist()]
+
+
+# every (m, n) with |S_{m,n}| <= 2*10^4; the n = 1 column stops at m = 12
+_SMALL = [(m, n) for m in range(1, 13) for n in range(1, 9) if multiset_count(m, n) <= 2 * 10**4]
+
+
+@pytest.mark.parametrize("m,n", _SMALL)
+def test_word_blocks_follow_next_permutation_order(m, n):
+    assert _rows(m, n) == list(_next_permutation_reference(m, n))
+
+
+def test_word_blocks_match_count():
+    for m, n in [(3, 3), (1, 8), (2, 5), (6, 2)]:
+        assert sum(len(block) for block in _word_blocks(m, n)) == multiset_count(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 5), (2, 4), (3, 3), (4, 2), (2, 2)])
+def test_tiny_blocks_leave_every_result_unchanged(monkeypatch, m, n):
+    # with blocks of at most three rows the walk goes deep into the prefixes
+    # and emits many blocks, some of a single row
+    expected = (list(_next_permutation_reference(m, n)), count_complete_bruteforce(m, n),
+                _lmax_histogram(m, n))
+    monkeypatch.setattr(words, "_BLOCK_ROWS", 3)
+    assert max(len(block) for block in _word_blocks(m, n)) <= 3
+    assert _rows(m, n) == expected[0]
+    assert [w.letters for w in enumerate_words(m, n)] == expected[0]
+    assert count_complete_bruteforce(m, n) == expected[1]
+    assert _lmax_histogram(m, n) == expected[2]
+
+
+@pytest.mark.parametrize("m,n", [(1, 6), (2, 4), (3, 3), (4, 2), (1, 1), (5, 1)])
+def test_lmax_histogram_matches_the_per_word_scan(m, n):
+    hist = Counter(_l_max_letters(letters, n) for letters in _next_permutation_reference(m, n))
+    assert _lmax_histogram(m, n) == [hist[k] for k in range(n + 1)]
+
+
+def test_complete_count_matches_the_per_word_scan():
+    for m, n in [(1, 5), (2, 4), (3, 3), (4, 2)]:
+        assert count_complete_bruteforce(m, n) == sum(
+            l1(make_word(w, m, n)) == n for w in _next_permutation_reference(m, n))
+
+
+class _NoNumpy(types.ModuleType):
+    def __getattr__(self, name):
+        raise AssertionError(f"touched numpy.{name}")
+
+
+def test_enumeration_cap_fires_before_numpy_is_touched(monkeypatch):
+    # numpy is imported inside the enumerator; a stub that fails on any use
+    # shows that nothing is allocated before the cap is checked
+    monkeypatch.setitem(sys.modules, "numpy", _NoNumpy("numpy"))
+    with pytest.raises(SpaceTooLarge):
+        next(enumerate_words(3, 8, cap=100))
+    with pytest.raises(SpaceTooLarge):
+        count_complete_bruteforce(3, 8, cap=100)
+
+
+def test_one_letter_alphabet_needs_no_recursion():
+    # one word of 5000 letters: neither the walk nor the table goes a
+    # frame per letter
+    assert count_complete_bruteforce(5000, 1) == 1
+    (word,) = enumerate_words(5000, 1)
+    assert word.letters == (1,) * 5000
+
+
+def test_letters_use_the_narrowest_unsigned_type(monkeypatch):
+    assert next(_word_blocks(2, 3)).dtype == np.uint8
+    # one-row blocks: the first is the sorted word, 1499 letters deep, past
+    # the interpreter's default recursion limit
+    monkeypatch.setattr(words, "_BLOCK_ROWS", 1)
+    block = next(_word_blocks(1, 1500))
+    assert block.dtype == np.uint16
+    assert block.tolist() == [list(range(1, 1501))]
