@@ -44,14 +44,14 @@ def build_rows(m_max, mc_trials, seed):
     return rows
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m-max", type=int, default=10)
     ap.add_argument("--mc-trials", type=int, default=0,
                     help="add a Monte Carlo column with this many trials (0 disables)")
     ap.add_argument("--seed", type=int, default=20260822)
     ap.add_argument("--csv", metavar="FILE", help="also write the table to FILE")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     if args.m_max < 1:
         sys.exit("--m-max must be at least 1")
 

@@ -5,8 +5,8 @@
 Trials run in blocks as in montecarlo._collect.  Per block it times
 re-keying the Philox stream for each trial (rng.substreams), shuffling
 each trial's copy of the labels 0..mn-1 (montecarlo._base), the
-occurrence tensor (_occ_tensor: a radix argsort of label // m, or for
-n >= 2^16 a scatter of the labels) and a kernel on it (l_max unless
+occurrence tensor (_occ_tensor: one scatter of the block's labels, then
+each value's positions put in order) and a kernel on it (l_max unless
 --kernel says otherwise), and it reports the median over blocks of each
 stage's time divided by the block's trials (ms_per_trial).  --kernel lis
 runs the lockstep patience sort (_lis_from_block) on the labels, in

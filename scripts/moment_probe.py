@@ -32,7 +32,7 @@ def probe(m, n, r_max, trials, seed):
     return rows
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, nargs="+", default=[2, 4, 8])
     ap.add_argument("--n", type=int, default=200)
@@ -40,7 +40,7 @@ def main():
     ap.add_argument("--trials", type=int, default=30000)
     ap.add_argument("--seed", type=int, default=20260822)
     ap.add_argument("--csv", metavar="FILE", help="also write the rows to FILE")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     all_rows = []
     print(f"{'m':>3} {'kind':>8} {'r':>2} {'estimate':>14} {'target':>12} {'ratio':>8} {'se':>10}")

@@ -134,9 +134,11 @@ def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
         raise DomainError(f"need m >= 2, got m={m}")
     if not 1 <= delta or 2 * delta > n:
         raise DomainError(f"need 1 <= delta <= n/2, got delta={delta}, n={n}")
-    space = m**n
+    # m >= 2, so m^b > cap for b = cap.bit_length(): the power is exact up
+    # to n = b, and past it the first b factors already exceed the cap
+    space = m ** min(n, cap.bit_length())
     if space > cap:
-        raise SpaceTooLarge(f"m^n = {space} exceeds cap {cap}")
+        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds cap {cap}")
 
     if delta == 1:
         # distinct words always differ somewhere; the whole space packs
@@ -242,7 +244,10 @@ def tail_bound(family: WordFamily, m: int, k: int) -> Fraction:
         raise DomainError(f"need m >= 1, got m={m}")
     if k < 1:
         raise DomainError(f"need k >= 1, got k={k}")
-    return min(_ONE, Fraction(family.size_at(k) * m**k, math.factorial(k)))
+    size = family.size_at(k)
+    if size == 0:
+        return _ZERO  # before m^k and k!, which past k = n only multiply zero
+    return min(_ONE, Fraction(size * m**k, math.factorial(k)))
 
 
 @dataclass(frozen=True)

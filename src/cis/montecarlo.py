@@ -11,19 +11,17 @@ base of a word of S_{m,n} is the labels 0..mn-1 (_base), label s standing
 for letter s // m + 1 (_letters): the shuffle draws the same whatever the
 array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
 Labels are np.intp, the one item size Generator.shuffle has a fast path
-for; the narrower types live in _occ_tensor alone (8- or 16-bit sort
-keys for the radix sort, an int32 tensor past that).  Blocks hold about
-_BLOCK_LETTERS letters (estimate_lis: _LIS_BLOCK_LETTERS) and at least
-one trial.  _base refuses words longer than _MAX_LETTERS before
-allocating anything.
+for; the occurrence tensor built from them is int32 (mn <= 10^8).
+Blocks hold about _BLOCK_LETTERS letters (estimate_lis:
+_LIS_BLOCK_LETTERS) and at least one trial.  _base refuses words longer
+than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
-positions of value v in word t in increasing order (_occ_tensor).  For
-n < 2^16 the letters fit 16 bits, and one stable argsort of label // m,
-which numpy radix-sorts, gives occ.  Wider keys would take a comparison
-sort, so for n >= 2^16 occ is the inverse permutation of the labels: one
-scatter occ.flat[label] = position, then each row's m positions put in
+positions of value v in word t in increasing order (_occ_tensor).  occ
+is the inverse permutation of the labels, since the copies of value v
+are labels vm .. vm + m - 1: one scatter of the whole block,
+occ.flat[t*mn + label] = position, then each row's m positions put in
 order by a sorting network (by numpy's sort past m = 4).  l1,
 pattern containment and the safe and shifting card-game players are each
 one greedy walk through a sequence of rows of occ (_walk), which returns
@@ -68,7 +66,6 @@ _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
 _LIS_BLOCK_LETTERS = 1 << 19  # the same for estimate_lis, whose kernel loops per column
 _RANK_COLUMNS = 4  # widest rows that _rank sums column by column
 _MAX_LETTERS = 10**8  # longest word a trial may sample
-_WIDE_N = 1 << 16  # from this n on, _occ_tensor scatters the labels
 # comparators (i, j) that put columns i < j of rows of m entries in order;
 # numpy's sort along so short an axis costs 2-3x as much as the network
 _SORT_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
@@ -82,8 +79,9 @@ def _base(m: int, n: int) -> np.ndarray:
     the same whatever the array holds, so the word is the one a shuffle of
     1^m 2^m ... n^m gives.  The labels are np.intp: Generator.shuffle
     copies items of that size on a specialized path and narrower ones
-    through a general memcpy, and intp labels index _occ_tensor's scatter
-    without a cast.  SpaceTooLarge past _MAX_LETTERS letters.
+    through a general memcpy, and intp labels, offset by their row, index
+    _occ_tensor's one block-wide scatter without a cast.  SpaceTooLarge
+    past _MAX_LETTERS letters.
     """
     if m * n > _MAX_LETTERS:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
@@ -157,22 +155,17 @@ def _check_mn(m: int, n: int) -> None:
 
 
 def _occ_tensor(block: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The (T, n, m) occurrence tensor of a block of shuffled _base(m, n) rows.
+    """The (T, n, m) int32 occurrence tensor of a block of shuffled _base(m, n) rows.
 
-    For n < 2^16 the letters label // m fit 16 bits, and their stable
-    argsort, which numpy radix-sorts, groups equal values and keeps
-    positions increasing.  For n >= 2^16 occ is the inverse permutation of
-    the labels, int32 (mn <= 10^8), with each row's m positions then put
-    in order.
+    The inverse permutation of each row's labels, scattered for the whole
+    block at once: row t's label s goes to flat slot t*mn + s, which is
+    occ[t, s // m, s % m].  Each row's m positions are then put in order,
+    by a sorting network up to m = 4 and by numpy's sort past that.
     """
-    if n < _WIDE_N:
-        keys = (block // m).astype(np.min_scalar_type(n - 1), copy=False)
-        return np.argsort(keys, axis=1, kind="stable").reshape(-1, n, m)
-    occ = np.empty(block.shape, dtype=np.int32)
-    positions = np.arange(m * n, dtype=np.int32)
-    for row, labels in zip(occ, block):
-        row[labels] = positions
-    occ = occ.reshape(-1, n, m)
+    trials, length = block.shape
+    occ = np.empty(trials * length, dtype=np.int32)
+    occ[block + np.arange(0, occ.size, length)[:, None]] = np.arange(length, dtype=np.int32)
+    occ = occ.reshape(trials, n, m)
     if m in _SORT_NETWORKS:
         low = np.empty(occ.shape[:2], dtype=occ.dtype)
         for i, j in _SORT_NETWORKS[m]:

@@ -46,6 +46,10 @@ def test_tail_bound_values():
     assert tail_bound(continuous_runs(10), 1, 6) == Fraction(10, 720)
     assert tail_bound(continuous_runs(6), 2, 4) == 1  # clipped at a probability
     assert tail_bound(arithmetic_progressions(4), 1, 4) == Fraction(16, 24)
+    # no member is longer than n; m^k and k! at k = 10^9 would take minutes
+    assert tail_bound(continuous_runs(2), 2, 3) == 0
+    assert tail_bound(continuous_runs(2), 2, 10**9) == 0
+    assert tail_bound(arithmetic_progressions(5), 10**6, 10**9) == 0
 
 
 def test_hamming():
@@ -148,6 +152,15 @@ def test_greedy_code_validation():
         greedy_code(2, 4, 3)  # delta > n/2
     with pytest.raises(SpaceTooLarge):
         greedy_code(3, 20, 2)
+    # m^n is compared with the cap exactly, at and either side of it
+    assert greedy_code(2, 6, 2, cap=64).size == 32
+    with pytest.raises(SpaceTooLarge, match=r"2\^6 exceeds cap 63"):
+        greedy_code(2, 6, 2, cap=63)
+    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds cap 64"):
+        greedy_code(2, 7, 2, cap=64)
+    # 100000^(10^9) would take minutes to build
+    with pytest.raises(SpaceTooLarge, match=r"100000\^1000000000 exceeds cap 1000"):
+        greedy_code(10**5, 10**9, 1, cap=1000)
 
 
 def test_inverse_gamma_round_trip():

@@ -224,6 +224,20 @@ def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
+    # neither needs its huge power: m^k and k! at k = 10^9, or 100000^(10^9)
+    start = time.perf_counter()
+    code, out = run_cli("bounds", "tail", "--family", "continuous", "--n", "2", "--m", "2",
+                        "--k", "1000000000")
+    assert (code, json.loads(out)["value"]) == (0, "0")
+    code, out = run_cli("bounds", "gv-code", "--m", "100000", "--n", "1000000000", "--delta", "1",
+                        "--cap", "1000")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("engine", ["gf", "hk"])
 def test_exact_value_past_the_digit_limit_exits_4(run_cli, capsys, engine):
     # 1/20000! is cheap on both engines, but its denominator has 77,338 digits

@@ -45,7 +45,7 @@ def test_import_cis_loads_neither_numpy_nor_mpmath(tmp_path):
     assert _loaded(f"import json, sys, cis\n{_REPORT}", cache=tmp_path) == set()
 
 
-@pytest.mark.parametrize("argv, loaded", [
+_COMMAND_LOADS = [
     (("l1-approx", "--m", "2"), set()),
     (("l1-exact", "--m", "2"), set()),
     (("prob-complete", "--m", "2", "--n", "4"), set()),
@@ -55,7 +55,12 @@ def test_import_cis_loads_neither_numpy_nor_mpmath(tmp_path):
     (("mc", "l1", "--m", "2", "--n", "5", "--trials", "10", "--seed", "1"), {"numpy"}),
     # so does exhaustive enumeration, which runs on numpy blocks
     (("prob-complete", "--m", "2", "--n", "3", "--engine", "brute"), {"numpy"}),
-], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+]
+
+
+# each row is named by its argv alone, so a row put in between renames no other
+@pytest.mark.parametrize("argv, loaded", [pytest.param(argv, loaded, id="-".join(argv))
+                                          for argv, loaded in _COMMAND_LOADS])
 def test_commands_load_numpy_and_mpmath_only_where_they_compute_with_them(tmp_path, argv, loaded):
     assert _loaded(_CLI, *argv, cache=tmp_path) == loaded
 

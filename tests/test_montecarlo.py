@@ -140,19 +140,21 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
         assert got.tolist() == want
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("n", [70_000, 40_000, 3_000])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [70_000, 40_000, 3_000, 50, 3])
 def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
-    # n >= 2^16 needs 32-bit letters: the intp labels are scattered and
-    # each row put in order (a sorting network up to m = 4).  Below that,
-    # the labels (past 16 bits from m = 2 at n = 40,000) take one radix
-    # argsort of label // m cast to 16 bits
+    # at every word length the intp labels of the whole block are scattered
+    # into one int32 tensor, and each row put in order: by a sorting network
+    # up to m = 4, by numpy's sort past it.  Short words come many to a
+    # block, as the estimators sample them
     base = _base(m, n)
     assert base.dtype == np.intp
-    block = np.stack([np.random.default_rng(seed).permutation(base) for seed in range(3)])
-    letters = _letters(block, m)
-    want = np.argsort(letters.astype(np.int64), axis=1, kind="stable").reshape(-1, n, m)
-    assert np.array_equal(_occ_tensor(block, m, n), want)
+    rows = max(3, montecarlo._BLOCK_LETTERS // (m * n))
+    block = np.random.default_rng(m * n).permuted(np.tile(base, (rows, 1)), axis=1)
+    want = np.argsort(_letters(block, m), axis=1, kind="stable").reshape(-1, n, m)
+    occ = _occ_tensor(block, m, n)
+    assert occ.dtype == np.int32
+    assert np.array_equal(occ, want)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -176,7 +178,8 @@ def test_observation2_catches_an_occurrence_tensor_out_of_order(monkeypatch):
     # with each row's two positions swapped, every walk takes the later copy
     # first: a two-letter pattern is then found with probability 1/2, not
     # 5/6.  Only the labeled branch goes through _occ_tensor, so the
-    # multiset branch's own argsort shows the fault at narrow and wide n
+    # multiset branch's own argsort shows the fault, in blocks of many
+    # short words and in blocks of one long word
     occ_tensor = _occ_tensor
     monkeypatch.setattr(montecarlo, "_occ_tensor",
                         lambda block, m, n: occ_tensor(block, m, n)[..., [1, 0]])
@@ -383,7 +386,7 @@ def test_seeded_outputs_are_pinned():
     assert pair(expected_score(2, 8, "safe", 300, seed=7)) == (
         2.7533333333333334, 0.05780707029801792)
     assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.46, 0.06530265700768306)
-    # n >= 2^16: trials shuffle 32-bit labels, and occ is their scatter
+    # long words, one to a block
     assert pair(estimate_lmax(2, 70000, 3, seed=1)) == (10.333333333333334, 0.3333333333333333)
     assert pair(estimate_lmax(1, 70000, 6, seed=3)) == (8.166666666666666, 0.16666666666666669)
     assert pair(estimate_lmax(3, 70000, 4, seed=3)) == (12.75, 0.47871355387816905)

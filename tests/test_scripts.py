@@ -1,5 +1,6 @@
 """Smoke tests for the measurement scripts under scripts/."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -36,7 +37,7 @@ def test_mc_stages_prints_one_line_of_stage_times(kernel, capsys):
         assert record["ms_per_trial"]["occ"] == record["faults_per_trial"]["occ"] == 0
 
 
-def test_mc_stages_times_the_label_scatter_from_n_2_16(capsys):
+def test_mc_stages_times_blocks_of_one_long_word(capsys):
     mc_stages = _load("mc_stages")
     mc_stages.main(["--m", "2", "--n", "70000", "--trials", "2"])
     record = json.loads(capsys.readouterr().out)
@@ -60,6 +61,36 @@ def test_root_stages_prints_one_line_of_stage_times(capsys):
     assert all(record["ms"][s] >= 0 for s in stages - {"other"})
     # the stage functions are restored
     assert spectral._aberth_fixed.__module__ == "cis.spectral"
+
+
+def test_l1_table_prints_and_writes_one_row_per_m(capsys, tmp_path):
+    l1_table = _load("l1_table")
+    out = tmp_path / "table.csv"
+    l1_table.main(["--m-max", "2", "--mc-trials", "20", "--seed", "5", "--csv", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("m= 1") and lines[1].startswith("m= 2")
+    assert lines[2] == f"wrote 2 rows to {out}"
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["m"]) for r in rows] == [1, 2]
+    # the series and the closed form are two routes to one value
+    assert all(abs(float(r["series_minus_closed"])) < 1e-9 for r in rows)
+    assert all(float(r["mc_se"]) > 0 for r in rows)
+
+
+def test_moment_probe_prints_and_writes_each_moment(capsys, tmp_path):
+    moment_probe = _load("moment_probe")
+    out = tmp_path / "moments.csv"
+    moment_probe.main(["--m", "1", "2", "--n", "20", "--r-max", "3", "--trials", "50", "--csv", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    # a header, then per m two central moments (r = 2, 3) and three raw ones
+    assert lines[0].split() == ["m", "kind", "r", "estimate", "target", "ratio", "se"]
+    assert len(lines) == 1 + 2 * 5 + 1 and lines[-1] == f"wrote 10 rows to {out}"
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["m"], r["kind"], r["r"]) for r in rows[:5]] == [
+        ("1", "central", "2"), ("1", "central", "3"), ("1", "raw", "1"), ("1", "raw", "2"), ("1", "raw", "3")]
+    assert all(float(r["target"]) > 0 for r in rows)
 
 
 def test_startup_prints_one_line_per_command(capsys):
