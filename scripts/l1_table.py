@@ -3,7 +3,9 @@
 For each m the table lists the series value, the closed form over the
 zeros of the truncated exponential, the two-term approximation, and the
 spreads between them.  Optionally appends a Monte Carlo column and
-writes the table as CSV.
+writes the table as CSV.  A route that refuses an m leaves its cells
+empty (printed as "-"): the series past exact.SERIES_DEGREE_CAP (m > 60),
+the closed form where its roots fail certification.
 
 Usage: python3 scripts/l1_table.py --m-max 10 [--mc-trials 200000] [--csv out.csv]
 """
@@ -12,34 +14,52 @@ import argparse
 import csv
 import sys
 
-from cis import approx_l1, estimate_l1, l1_closed_form, l1_series
+from cis import NoConvergence, SpaceTooLarge, approx_l1, estimate_l1, l1_closed_form, l1_series
 
 MC_N = 60  # values per word in the Monte Carlo column; tail beyond this is negligible
+
+
+def _refusable(route, m, refusal):
+    """route(m), or None when it raises refusal."""
+    try:
+        return route(m)
+    except refusal:
+        return None
+
+
+def _diff(a, b):
+    return None if a is None or b is None else a - b
+
+
+def _text(x, spec):
+    return "-" if x is None else format(x, spec)
 
 
 def build_rows(m_max, mc_trials, seed):
     rows = []
     for m in range(1, m_max + 1):
-        series = l1_series(m)
-        closed = l1_closed_form(m)
+        series = _refusable(l1_series, m, SpaceTooLarge)
+        closed = _refusable(l1_closed_form, m, NoConvergence)
+        series_value = None if series is None else series.value
+        closed_value = None if closed is None else closed.value
         approx = approx_l1(m)
         row = {
             "m": m,
-            "series": series.value,
-            "closed": closed.value,
+            "series": series_value,
+            "closed": closed_value,
             "approx": approx,
-            "series_minus_closed": series.value - closed.value,
-            "closed_minus_approx": closed.value - approx,
-            "terms_used": series.terms_used,
+            "series_minus_closed": _diff(series_value, closed_value),
+            "closed_minus_approx": _diff(closed_value, approx),
+            "terms_used": None if series is None else series.terms_used,
         }
         if mc_trials:
             est = estimate_l1(m, MC_N, mc_trials, seed + m)
             row["mc_mean"] = est.mean
             row["mc_se"] = est.std_error
         rows.append(row)
-        print(f"m={m:2d}  series={series.value:.12f}  closed={closed.value:.12f}  "
-              f"approx={approx:.12f}  s-c={row['series_minus_closed']:+.2e}  "
-              f"c-a={row['closed_minus_approx']:+.2e}"
+        print(f"m={m:2d}  series={_text(series_value, '.12f')}  closed={_text(closed_value, '.12f')}  "
+              f"approx={approx:.12f}  s-c={_text(row['series_minus_closed'], '+.2e')}  "
+              f"c-a={_text(row['closed_minus_approx'], '+.2e')}"
               + (f"  mc={row['mc_mean']:.5f}+-{row['mc_se']:.5f}" if mc_trials else ""))
     return rows
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
+from .words import _check_mn
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,7 +30,8 @@ if TYPE_CHECKING:
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# largest k for which factorial_threshold computes k!; at 10^5 a call takes about a second
+# largest k for which factorial_threshold and completion_lower compute k!; at
+# 10^5 a factorial_threshold call takes about a second
 FACTORIAL_K_CAP = 10**5
 
 
@@ -297,14 +299,26 @@ def completion_lower(m: int, n: int, t_size: int, delta: int) -> Fraction:
     code word is a complete pattern with probability 1/n! and any ordered
     pair of distinct code words coincides with probability at most
     1/(delta! n!), so the union bound from below is
-    t_size/n! - t_size(t_size - 1)/(delta! n!), clamped at 0.
+    t_size/n! - t_size(t_size - 1)/(delta! n!), clamped at 0.  That is 0
+    whenever delta! <= t_size - 1, which is found without taking either
+    factorial; otherwise SpaceTooLarge when n or delta exceeds
+    FACTORIAL_K_CAP.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     if t_size < 1:
         raise DomainError(f"need t_size >= 1, got {t_size}")
     if delta < 1:
         raise DomainError(f"need delta >= 1, got {delta}")
+    partial = 1  # 2 * 3 * ... up to delta, or until it passes t_size - 1
+    for k in range(2, delta + 1):
+        if partial > t_size - 1:
+            break
+        partial *= k
+    if partial <= t_size - 1:
+        return _ZERO
+    if max(n, delta) > FACTORIAL_K_CAP:
+        raise SpaceTooLarge(f"completion_lower needs {max(n, delta)}!, past the cap {FACTORIAL_K_CAP} "
+                            "on factorial sizes")
     nf = math.factorial(n)
     val = Fraction(t_size, nf) - Fraction(t_size * (t_size - 1), math.factorial(delta) * nf)
     return max(_ZERO, val)
@@ -328,8 +342,7 @@ def lower_cont_asymptotic(m: int, n: int) -> AsymptoticLower:
     only for m >= 2 and n sufficiently large in terms of m; m = 1 is
     reported with domain_ok False rather than raising.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     log_value = n * math.log(m / 1.03) - math.log(2 * n) - math.lgamma(n + 1)
     value = math.exp(log_value) if log_value < 709.0 else math.inf
     return AsymptoticLower(m=m, n=n, log_value=log_value, value=value, domain_ok=m >= 2)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError
 from .montecarlo import Estimate, _check_trials, _occ_values, _walk
-from .words import Word
+from .words import Word, _check_mn
 
 STRATEGIES = ("trivial", "safe", "shifting")
 
@@ -117,8 +117,7 @@ def safe_expected_exact(m: int, n: int) -> Fraction:
     A deck with no stall scores mn.  On two-type decks the score is 2m - j
     with E[j] = m^2/(m+1), so the mean is m + 1 - 1/(m+1).
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     # numerator over the common denominator (nm)!; tail = (nm)! / (vm)!
     fm = math.factorial(m)
     total = fm**n * m * n  # no stall
@@ -135,8 +134,7 @@ def expected_score(m: int, n: int, strategy: str, trials: int, seed: int) -> Est
     """Monte Carlo mean score of a strategy over uniform decks."""
     if strategy not in STRATEGIES:
         raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
 
     if strategy == "trivial":  # catches exactly the m copies of type 1
         _check_trials(trials)

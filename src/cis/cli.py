@@ -74,9 +74,15 @@ def _fields(obj, value: str, *names: str, **extra):
     return _finite(getattr(obj, value)), None, {**{k: _finite(getattr(obj, k)) for k in names}, **extra}
 
 
+def _digit_limit() -> int:
+    """The interpreter's integer string limit, 0 for none: Python before 3.10.7 has no limit and no getter."""
+    getter = getattr(sys, "get_int_max_str_digits", None)
+    return getter() if getter else 0
+
+
 def _check_digits(what: str, *ints: int) -> None:
     """SpaceTooLarge when an exact integer of the record is past the interpreter's integer string limit."""
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     if limit and max(abs(i) for i in ints) >= 10**limit:
         raise SpaceTooLarge(f"{what} has more than {limit} digits, past the interpreter's integer string limit")
 
@@ -90,8 +96,9 @@ def _complete_prob(m, n, engine):
     # l1 = n means 1 2 ... n is a subsequence, so Pr[l1 = n] is at most the
     # expected number of its embeddings, m^n/n!, and the reduced denominator
     # is at least n!/m^n: past the digit limit, fail before computing
-    limit = sys.get_int_max_str_digits()
-    if limit and m >= 1 and n >= 1 and (math.lgamma(n + 1) - n * math.log(m)) / math.log(10) > limit + 1:
+    cis.words._check_mn(m, n)
+    limit = _digit_limit()
+    if limit and (math.lgamma(n + 1) - n * math.log(m)) / math.log(10) > limit + 1:
         raise SpaceTooLarge(f"the exact value's denominator, at least {n}!/{m}^{n}, has more than {limit} "
                             "digits, past the interpreter's integer string limit")
     return _fraction(cis.exact.complete_prob(m, n, engine=engine), engine=engine)

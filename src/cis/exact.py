@@ -47,7 +47,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import DomainError, InternalInconsistency, NoConvergence, SpaceTooLarge
-from .words import count_complete_bruteforce, multiset_count
+from .words import _check_mn, count_complete_bruteforce, multiset_count
 
 WeakComposition = tuple[int, ...]
 
@@ -108,8 +108,7 @@ def horton_kurn_h(m: int, n: int) -> int:
     are more than COMPOSITION_CAP weak compositions to sum over, or when
     compositions x (mn)^2 exceeds HK_WORK_CAP.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     mn = m * n
     comps = comb(n + m - 1, m - 1)
     if comps > COMPOSITION_CAP:
@@ -227,8 +226,7 @@ def p_value(m: int, n: int) -> Fraction:
     engines is part of the test suite.  Raises SpaceTooLarge when the
     degree n(m-1) of u_m^n exceeds GF_DEGREE_CAP.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     _check_degree(m, n)
     for k, p in _gf_powers(m):
         if k == n:
@@ -267,10 +265,10 @@ class SeriesResult:
 def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
     """Partial sum of sum_{n>=1} Pr[l1 = n over S_{m,n}] with a stopping rule.
 
-    Stops at the first index n0 >= 3m+3 where the term drops below eps and
-    the terms have been non-increasing for three consecutive indices; the
-    terms are provably non-increasing, the guard just refuses to trust a
-    single small value.  Raises NoConvergence when max_n is reached first.
+    Stops at the first n >= 3m+3 whose term is below eps.  The terms never
+    increase: the n-th is Pr[l1 >= n] over any longer word space, and
+    those events are nested.  Raises NoConvergence when max_n is reached
+    first.
 
     The terms come from the generating-function engine: it keeps a running
     power of u_m and costs one pass over its coefficients per term, where
@@ -291,14 +289,8 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
     if top < max_n and top < 3 * m + 3:
         raise capped
     eps_num, eps_den = eps.as_integer_ratio()
-    prev_t = prev_f = None
-    run = 0
-    sums = _partial_sums(m)
-    for _, (n, t, s, f) in zip(range(top), sums):
-        # t/f <= prev_t/prev_f and t/f < eps, cross-multiplied
-        run = run + 1 if prev_t is not None and t * prev_f <= prev_t * f else 0
-        prev_t, prev_f = t, f
-        if n >= 3 * m + 3 and t * eps_den < eps_num * f and run >= 3:
+    for _, (n, t, s, f) in zip(range(top), _partial_sums(m)):
+        if n >= 3 * m + 3 and t * eps_den < eps_num * f:  # t/f < eps, cross-multiplied
             return SeriesResult(
                 m=m,
                 value=s / f,
@@ -335,8 +327,7 @@ def l1_finite_expectation(m: int, n: int) -> Fraction:
     estimators, where the limiting series value would leave truncation
     ambiguity.  Raises SpaceTooLarge when n(m-1) exceeds GF_DEGREE_CAP.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     _check_degree(m, n)
     for k, _, s, f in _partial_sums(m):
         if k == n:

@@ -13,7 +13,8 @@ array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
 Labels are np.intp, the one item size Generator.shuffle has a fast path
 for; the occurrence tensor built from them is int32 (mn <= 10^8).
 Blocks hold about _BLOCK_LETTERS letters (estimate_lis:
-_LIS_BLOCK_LETTERS) and at least one trial.  _base refuses words longer
+_LIS_BLOCK_LETTERS) and at least one trial.  _base makes every
+estimator's (m, n) check (words._check_mn) and refuses words longer
 than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
@@ -61,6 +62,7 @@ import numpy as np
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
 from .rng import substreams
+from .words import _check_mn
 
 _BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
 _LIS_BLOCK_LETTERS = 1 << 19  # the same for estimate_lis, whose kernel loops per column
@@ -81,8 +83,9 @@ def _base(m: int, n: int) -> np.ndarray:
     copies items of that size on a specialized path and narrower ones
     through a general memcpy, and intp labels, offset by their row, index
     _occ_tensor's one block-wide scatter without a cast.  SpaceTooLarge
-    past _MAX_LETTERS letters.
+    past _MAX_LETTERS letters, after the (m, n) check.
     """
+    _check_mn(m, n)
     if m * n > _MAX_LETTERS:
         raise SpaceTooLarge(f"word length m*n = {m * n} exceeds 10^8 per trial")
     return np.arange(m * n)
@@ -149,11 +152,6 @@ class Estimate:
         return Estimate(mean, se, trials, seed, (mean - 1.96 * se, mean + 1.96 * se))
 
 
-def _check_mn(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-
-
 def _occ_tensor(block: np.ndarray, m: int, n: int) -> np.ndarray:
     """The (T, n, m) int32 occurrence tensor of a block of shuffled _base(m, n) rows.
 
@@ -182,8 +180,13 @@ def _rank(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
     Rows of up to _RANK_COLUMNS entries are summed one boolean column at a
     time, into uint8 counts: numpy's count_nonzero along so short an axis is its slow path,
-    about 5x slower at m = 2 and 10^5 rows.  On wider rows the m strided
-    column passes cost more than the one reduction.
+    about 5x slower at m = 2 and 10^5 rows.  The column passes stay faster
+    on wider rows too once a block has a few hundred rows: on 10^5 sorted
+    int32 rows they take 1.1 against 3.3 ms at m = 6 and 1.3 against
+    3.1 ms at m = 8 (2 CPUs, Python 3.11, numpy 2.4).  count_nonzero wins
+    on blocks of up to about 160 rows from m = 6 on, and on long blocks
+    from m = 16 on.  No workload or criterion runs m > 4, so the wider
+    rows keep count_nonzero.
     """
     if rows.shape[1] > _RANK_COLUMNS:
         return np.count_nonzero(rows <= pos[:, None], axis=1)
@@ -325,14 +328,11 @@ def _contains_subsequence(occ: np.ndarray, pattern: tuple[int, ...]) -> np.ndarr
 
 def estimate_l1(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the greedy run length starting at value 1."""
-    _check_mn(m, n)
     return Estimate.from_values(_occ_values(m, n, trials, seed, _l1_from_occ), seed)
 
 
 def estimate_lmax(m: int, n: int, trials: int, seed: int) -> Estimate:
     """Sample mean of the best run over all starting values."""
-    _check_mn(m, n)
-
     values = _occ_values(m, n, trials, seed, _lmax_from_occ)
     return Estimate.from_values(values, seed)
 
@@ -346,8 +346,6 @@ def estimate_lis(m: int, n: int, trials: int, seed: int) -> Estimate:
     every word at once.  Each word's value is the one a bisect_left
     patience sort of its letters gives.
     """
-    _check_mn(m, n)
-
     values = _collect(trials, seed, [_base(m, n)], lambda block: _lis_from_block(block, m, n),
                       _LIS_BLOCK_LETTERS)
     return Estimate.from_values(values, seed)
@@ -398,7 +396,6 @@ class MomentReport:
 
 def moments(m: int, n: int, r_max: int, trials: int, seed: int) -> MomentReport:
     """Estimate raw and central moments of l1 up to order r_max (<= 8)."""
-    _check_mn(m, n)
     if not 2 <= r_max <= 8:
         raise DomainError(f"need 2 <= r_max <= 8, got {r_max}")
 
@@ -451,7 +448,7 @@ class Obs1Report:
 
 def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Report:
     """Empirically compare Pr[l1 >= k] over n values with Pr[l1 = k] over k."""
-    _check_mn(m, n)
+    base = _base(m, n)  # its (m, n) check comes before the check of k, which reads n
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
 
@@ -460,7 +457,7 @@ def check_observation1(m: int, n: int, k: int, trials: int, seed: int) -> Obs1Re
         comp = _l1_from_occ(_occ_tensor(tau, m, k)) == k
         return np.stack([tail, comp], axis=1)
 
-    values = _collect(trials, seed, [_base(m, n), _base(m, k)], kernel)
+    values = _collect(trials, seed, [base, _base(m, k)], kernel)
     p1 = float(np.mean(values[:, 0]))
     p2 = float(np.mean(values[:, 1]))
     pooled, gap = _pooled_gap(p1, p2, trials)
@@ -497,7 +494,7 @@ class Obs2Report:
 
 def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2Report:
     """Compare subsequence containment under multiset vs labeled sampling."""
-    _check_mn(m, n)
+    labels = _base(m, n)  # checks (m, n) and the length cap before the word is allocated
     w = tuple(int(x) for x in pattern)
     if not w:
         raise DomainError("pattern must be non-empty")
@@ -506,7 +503,6 @@ def check_observation2(m: int, n: int, pattern, trials: int, seed: int) -> Obs2R
     if any(x < 1 or x > n for x in w):
         raise DomainError(f"pattern letters must lie in 1..{n}, got {w}")
 
-    labels = _base(m, n)  # checks the length cap before the word is allocated
     word = np.repeat(np.arange(1, n + 1), m)
 
     def kernel(pi, tau):

@@ -53,6 +53,12 @@ class Word:
         return iter(self.letters)
 
 
+def _check_mn(m: int, n: int) -> None:
+    """DomainError unless S_{m,n} exists; the one (m, n) check of the package."""
+    if m < 1 or n < 1:
+        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+
+
 def make_word(letters: Iterable[int], m: int, n: int) -> Word:
     """Validate letters against (m, n) and wrap them in a Word.
 
@@ -60,8 +66,7 @@ def make_word(letters: Iterable[int], m: int, n: int) -> Word:
     MultiplicityViolation if any letter of the alphabet is not used
     exactly m times.
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     if n > _MAX_LETTER:
         raise DomainError(f"alphabet size {n} exceeds 32-bit letter range")
     seq = tuple(int(x) for x in letters)
@@ -70,20 +75,15 @@ def make_word(letters: Iterable[int], m: int, n: int) -> Word:
         if x < 1 or x > n:
             raise AlphabetViolation(f"letter {x} outside alphabet 1..{n}")
         counts[x] += 1
-    if len(seq) != m * n or any(c != m for c in counts[1:]):
-        bad = next((v for v in range(1, n + 1) if counts[v] != m), None)
-        raise MultiplicityViolation(
-            f"letter {bad} occurs {counts[bad] if bad else 0} times, expected {m}"
-            if bad is not None
-            else f"word length {len(seq)} != m*n = {m * n}"
-        )
+    bad = next((v for v in range(1, n + 1) if counts[v] != m), None)
+    if bad is not None:
+        raise MultiplicityViolation(f"letter {bad} occurs {counts[bad]} times, expected {m}")
     return Word(seq, m, n)
 
 
 def multiset_count(m: int, n: int) -> int:
     """|S_{m,n}| = (mn)! / (m!)^n, exactly."""
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     return math.factorial(m * n) // math.factorial(m) ** n
 
 
@@ -95,8 +95,7 @@ def sample_uniform(m: int, n: int, rng: RandomSource) -> Word:
     """
     import numpy as np
 
-    if m < 1 or n < 1:
-        raise DomainError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _check_mn(m, n)
     gen = rng.generator()
     base = np.repeat(np.arange(1, n + 1, dtype=np.int32), m)
     return Word(tuple(gen.permutation(base).tolist()), m, n)

@@ -2,12 +2,16 @@
 
 Runs at the level named by CIS_ACCEPTANCE_LEVEL (quick or full; default
 full).  Each test prints its verdict line even on success; run with -s
-or -rA to see the full scoreboard.
+or -rA to see the full scoreboard.  The last tests check run_one itself
+on a stub criterion and a fake clock.
 """
 
 import os
+import types
 
-from cis import acceptance
+import pytest
+
+from cis import DomainError, acceptance
 
 LEVEL = os.environ.get("CIS_ACCEPTANCE_LEVEL", "full")
 
@@ -77,3 +81,38 @@ def test_every_criterion_passes_at_the_quick_level():
     assert [r.cid for r in results] == list(range(1, 14))
     failed = [f"[{r.cid:>2}] {r.name}: {r.detail}" for r in results if not r.passed]
     assert not failed, "\n".join(failed)
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """Run a stub criterion 99, with a 2 s budget, that takes `seconds` on a fake clock."""
+    ticks = []
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(perf_counter=lambda: ticks.pop(0)))
+    monkeypatch.setitem(acceptance._REGISTRY, 99, ("stub", 2.0, lambda level: (True, f"ok at {level}")))
+
+    def run(seconds, level):
+        ticks[:] = [100.0, 100.0 + seconds]
+        return acceptance.run_one(99, level)
+
+    return run
+
+
+@pytest.mark.parametrize("seconds", [2.0, 7.5])
+def test_full_level_fails_a_criterion_at_or_past_its_budget(stub, seconds):
+    res = stub(seconds, "full")
+    assert (res.passed, res.seconds) == (False, seconds)
+    assert res.detail == f"ok at full; runtime {seconds:.1f}s exceeded the 2s budget"
+
+
+def test_budget_verdicts_only_at_the_full_level(stub):
+    res = stub(1.5, "full")
+    assert (res.passed, res.detail) == (True, "ok at full")
+    res = stub(7.5, "quick")
+    assert (res.passed, res.detail, res.seconds) == (True, "ok at quick", 7.5)
+
+
+def test_run_one_refuses_an_unknown_level_or_criterion():
+    with pytest.raises(DomainError, match="level must be one of"):
+        acceptance.run_one(1, level="medium")
+    with pytest.raises(DomainError, match="no criterion 99"):
+        acceptance.run_one(99)

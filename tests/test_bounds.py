@@ -241,6 +241,22 @@ def test_completion_lower_values():
     assert completion_lower(3, 3, 1, 1) == Fraction(1, 6)
 
 
+def test_completion_lower_at_the_zero_edge_and_past_the_factorial_cap():
+    # t_size/n! (1 - (t_size - 1)/delta!) is 0 exactly when delta! <= t_size - 1
+    for n, t_size, delta in product((1, 3, 5), range(1, 30), range(1, 6)):
+        expected = max(Fraction(0), Fraction(t_size, math.factorial(n))
+                       * (1 - Fraction(t_size - 1, math.factorial(delta))))
+        assert completion_lower(2, n, t_size, delta) == expected
+    # zero without n! or delta!, however large they are
+    assert completion_lower(2, 10**9, 3, 2) == 0
+    assert completion_lower(2, 10**9, 10**30, 25) == 0  # 25! < 10^30
+    cap = bounds.FACTORIAL_K_CAP
+    assert completion_lower(2, cap, 2, 2) == Fraction(1, math.factorial(cap))
+    for n, delta in ((cap + 1, 2), (5, cap + 1), (5, 10**9)):
+        with pytest.raises(SpaceTooLarge):
+            completion_lower(2, n, 2, delta)
+
+
 def test_lower_cont_asymptotic():
     al = lower_cont_asymptotic(2, 10)
     expected = 10 * math.log(2 / 1.03) - math.log(20) - math.lgamma(11)

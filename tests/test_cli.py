@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cis import cardgame, cli, montecarlo
+from cis import cardgame, cli, exact, montecarlo
+from cis.cache import cache_get, cache_put
 
 
 def test_prob_complete_json_record(run_cli):
@@ -55,6 +56,26 @@ def test_corrupt_cache_entry_is_recomputed(run_cli, tmp_path, capsys):
     rec = json.loads(out)
     assert rec["meta"]["cached"] is False
     assert "corrupt cache entry" in capsys.readouterr().err
+
+
+def test_cache_entry_of_another_quantity_is_a_miss(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CIS_CACHE_DIR", str(tmp_path))
+    params = {"m": 2, "n": 3, "engine": "gf"}
+    cache_put("prob-complete", params, "0.3.0", {"quantity": "l1-exact", "value": "1"})
+    assert cache_get("prob-complete", params, "0.3.0") is None
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ignoring corrupt cache entry") and err.count("\n") == 1
+    assert "record does not match its key" in err
+
+
+def test_unwritable_cache_directory_is_only_a_warning(run_cli, tmp_path, monkeypatch, capsys):
+    # no directory can be made below a regular file, whoever runs the test
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    monkeypatch.setenv("CIS_CACHE_DIR", str(tmp_path / "file" / "cache"))
+    code, out = run_cli("prob-complete", "--m", "2", "--n", "3")
+    assert (code, json.loads(out)["value"]) == (0, str(exact.complete_prob(2, 3)))
+    err = capsys.readouterr().err
+    assert err.startswith("warning: could not write cache entry") and err.count("\n") == 1
 
 
 def test_cache_is_keyed_by_version(run_cli, monkeypatch):
@@ -232,6 +253,21 @@ def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
     assert (code, json.loads(out)["value"]) == (0, "0")
     code, out = run_cli("bounds", "gv-code", "--m", "100000", "--n", "1000000000", "--delta", "1",
                         "--cap", "1000")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_completion_lower_with_a_huge_factorial_answers_within_a_second(run_cli, capsys):
+    # 10^9! is never needed when delta! <= t_size - 1 makes the floor 0;
+    # otherwise the same delta is refused before its factorial is taken
+    start = time.perf_counter()
+    code, out = run_cli("bounds", "completion-lower", "--m", "2", "--n", "1000000000", "--t-size", "3",
+                        "--delta", "2")
+    assert (code, json.loads(out)["value"]) == (0, "0")
+    code, out = run_cli("bounds", "completion-lower", "--m", "2", "--n", "5", "--t-size", "3",
+                        "--delta", "1000000000")
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert (code, out) == (4, "")

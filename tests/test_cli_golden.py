@@ -19,6 +19,7 @@ import argparse
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -140,6 +141,17 @@ def _golden() -> dict:
 
 @pytest.mark.parametrize("argv", CASES, ids=[" ".join(a) for a in CASES])
 def test_subcommand_matches_golden(argv):
+    assert observe(argv) == _golden()["cases"][" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob-complete", "--m", "2", "--n", "3", "--engine", "hk"],
+    ["bounds", "tail", "--family", "continuous", "--n", "10", "--m", "2", "--k", "5"],
+    ["bounds", "entropy-check", "--n", "2000", "--delta", "1000"],
+], ids=lambda argv: " ".join(argv))
+def test_interpreter_without_a_digit_limit_matches_golden(monkeypatch, argv):
+    # Python 3.10.0-3.10.6 has no integer string limit and no getter for it
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
     assert observe(argv) == _golden()["cases"][" ".join(argv)]
 
 

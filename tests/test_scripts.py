@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cis import spectral
+from cis import NoConvergence, exact, spectral
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -76,6 +76,47 @@ def test_l1_table_prints_and_writes_one_row_per_m(capsys, tmp_path):
     # the series and the closed form are two routes to one value
     assert all(abs(float(r["series_minus_closed"])) < 1e-9 for r in rows)
     assert all(float(r["mc_se"]) > 0 for r in rows)
+
+
+def _l1_table_rows(l1_table, capsys, tmp_path):
+    out = tmp_path / "table.csv"
+    l1_table.main(["--m-max", "2", "--csv", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    with open(out, newline="", encoding="utf-8") as fh:
+        return lines, list(csv.DictReader(fh))
+
+
+def test_l1_table_leaves_a_refused_series_empty(capsys, tmp_path, monkeypatch):
+    l1_table = _load("l1_table")
+    full_lines, full_rows = _l1_table_rows(l1_table, capsys, tmp_path)
+    # m = 2 needs degree 9 by its stopping rule's first index
+    monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 8)
+    lines, rows = _l1_table_rows(l1_table, capsys, tmp_path)
+    assert lines[0] == full_lines[0] and rows[0] == full_rows[0]
+    assert lines[1].startswith("m= 2  series=-  closed=") and "s-c=-  c-a=" in lines[1]
+    assert lines[2] == full_lines[2]
+    empty = ("series", "series_minus_closed", "terms_used")
+    assert all(rows[1][k] == "" for k in empty)
+    assert {k: v for k, v in rows[1].items() if k not in empty} == {
+        k: v for k, v in full_rows[1].items() if k not in empty}
+
+
+def test_l1_table_leaves_an_uncertified_closed_form_empty(capsys, tmp_path, monkeypatch):
+    l1_table = _load("l1_table")
+    full_lines, full_rows = _l1_table_rows(l1_table, capsys, tmp_path)
+    closed_form = l1_table.l1_closed_form
+
+    def refuse_m_2(m):
+        if m == 2:
+            raise NoConvergence("residual exceeds certification tolerance")
+        return closed_form(m)
+
+    monkeypatch.setattr(l1_table, "l1_closed_form", refuse_m_2)
+    lines, rows = _l1_table_rows(l1_table, capsys, tmp_path)
+    assert lines[0] == full_lines[0] and "closed=-" in lines[1] and "s-c=-  c-a=-" in lines[1]
+    empty = ("closed", "series_minus_closed", "closed_minus_approx")
+    assert rows[0] == full_rows[0] and all(rows[1][k] == "" for k in empty)
+    assert rows[1]["series"] == full_rows[1]["series"]
 
 
 def test_moment_probe_prints_and_writes_each_moment(capsys, tmp_path):

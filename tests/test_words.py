@@ -26,7 +26,7 @@ from cis import (
     multiset_count,
     sample_uniform,
 )
-from cis import words
+from cis import bounds, cardgame, exact, montecarlo, words
 from cis.acceptance import _lmax_histogram
 from cis.words import _l_max_letters, _word_blocks
 
@@ -260,3 +260,34 @@ def test_letters_use_the_narrowest_unsigned_type(monkeypatch):
     block = next(_word_blocks(1, 1500))
     assert block.dtype == np.uint16
     assert block.tolist() == [list(range(1, 1501))]
+
+
+# every public function of (m, n), with its other arguments valid for n >= 1
+_MN_FUNCTIONS = {
+    "make_word": lambda m, n: make_word([1], m, n),
+    "multiset_count": multiset_count,
+    "sample_uniform": lambda m, n: sample_uniform(m, n, RandomSource(1)),
+    "horton_kurn_h": exact.horton_kurn_h,
+    "p_value": exact.p_value,
+    "l1_finite_expectation": exact.l1_finite_expectation,
+    "completion_lower": lambda m, n: bounds.completion_lower(m, n, 3, 2),
+    "lower_cont_asymptotic": bounds.lower_cont_asymptotic,
+    "safe_expected_exact": cardgame.safe_expected_exact,
+    "expected_score": lambda m, n: cardgame.expected_score(m, n, "safe", 10, 1),
+    "estimate_l1": lambda m, n: montecarlo.estimate_l1(m, n, 10, 1),
+    "estimate_lmax": lambda m, n: montecarlo.estimate_lmax(m, n, 10, 1),
+    "estimate_lis": lambda m, n: montecarlo.estimate_lis(m, n, 10, 1),
+    "moments": lambda m, n: montecarlo.moments(m, n, 2, 10, 1),
+    "check_observation1": lambda m, n: montecarlo.check_observation1(m, n, 1, 10, 1),
+    "check_observation2": lambda m, n: montecarlo.check_observation2(m, n, (1,), 10, 1),
+}
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
+@pytest.mark.parametrize("name", _MN_FUNCTIONS)
+def test_every_function_of_m_and_n_refuses_an_empty_space(name, m, n):
+    # S_{m,n} exists only for m, n >= 1; at n = 0 the k and pattern checks
+    # of the observations would fail too, so the (m, n) check must come first
+    with pytest.raises(DomainError) as info:
+        _MN_FUNCTIONS[name](m, n)
+    assert str(info.value) == f"need m >= 1 and n >= 1, got m={m}, n={n}"
