@@ -5,7 +5,7 @@ zeros of the truncated exponential, the two-term approximation, and the
 spreads between them.  Optionally appends a Monte Carlo column and
 writes the table as CSV.  A route that refuses an m leaves its cells
 empty (printed as "-"): the series past exact.SERIES_DEGREE_CAP (m > 60),
-the closed form where its roots fail certification.
+the closed form past its cost caps (m > spectral.L1_MAX_M = 500).
 
 Usage: python3 scripts/l1_table.py --m-max 10 [--mc-trials 200000] [--csv out.csv]
 """
@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from cis import NoConvergence, SpaceTooLarge, approx_l1, estimate_l1, l1_closed_form, l1_series
+from cis import SpaceTooLarge, approx_l1, estimate_l1, l1_closed_form, l1_series
 
 MC_N = 60  # values per word in the Monte Carlo column; tail beyond this is negligible
 
@@ -39,7 +39,7 @@ def build_rows(m_max, mc_trials, seed):
     rows = []
     for m in range(1, m_max + 1):
         series = _refusable(l1_series, m, SpaceTooLarge)
-        closed = _refusable(l1_closed_form, m, NoConvergence)
+        closed = _refusable(l1_closed_form, m, SpaceTooLarge)
         series_value = None if series is None else series.value
         closed_value = None if closed is None else closed.value
         approx = approx_l1(m)

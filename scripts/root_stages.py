@@ -4,9 +4,11 @@
 
 Runs find_roots(m, bits) --repeat times with its stage functions wrapped
 in timers: the double pass (_double_start), the fixed-point integer sweeps
-(_aberth_fixed), the mpmath residuals (_residuals) and the certificate
-checks (_certify); then power_sum_check on the result.  "other" is the
-rest of find_roots: conversions, the sort and the tolerance.
+(_aberth_fixed), the exact Gaussian-integer residuals (_residuals) and the
+certificate checks (_certify); then power_sum_check on the result, whose
+fixed-point sums and integer targets take no root solve.  "other" is the
+rest of find_roots: conversions, the sort, and rounding the residuals for
+the record.
 """
 
 import argparse

@@ -32,6 +32,8 @@ COMMANDS = {
     "prob-complete-brute": (("prob-complete", "--m", "2", "--n", "3", "--engine", "brute"), False),
     "gv-code-warm": (("bounds", "gv-code", "--m", "2", "--n", "14", "--delta", "4"), True),
     "invgamma": (("invgamma", "--y", "5040"), False),
+    "l1-closed": (("l1-closed", "--m", "12"), False),
+    "roots": (("roots", "--m", "40", "--check-power-sums"), False),
     "mc-l1": (("mc", "l1", "--m", "2", "--n", "50", "--trials", "1000", "--seed", "1"), False),
 }
 

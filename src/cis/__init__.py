@@ -9,13 +9,13 @@ card-guessing game whose scores these statistics govern.
 The exports below load on first use: `import cis` imports no submodule,
 and the first access to a name (`cis.l1_series`, `from cis import
 find_roots`) or to a submodule (`cis.spectral`) imports the module that
-defines it.  So numpy loads only where words are sampled or codes sieved,
-and mpmath only where spectral code runs.
+defines it.  So numpy loads only where words are sampled or codes sieved;
+no module imports mpmath, which only the tests use as a reference.
 """
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # module -> the names it exports, in the order of __all__
 _EXPORTS = {

@@ -7,7 +7,7 @@ One driver, _execute, turns any row into a versioned record (schema 1),
 cached under CIS_CACHE_DIR by quantity, params and version; rows with a
 --seed are cached only when the seed is given.  A compute function
 reaches its module through the package when it runs, so a command loads
-numpy or mpmath only if it computes with them.
+numpy only if it computes with it.
 
 Exit codes: 0 success, 1 verify-all found failing criteria, 2 invalid
 arguments, domain errors or an unwritable --out file, 3 numerical
@@ -62,11 +62,15 @@ def _finite(x):
 
 
 def _double(x):
-    """An mpmath number as a float, or as its decimal string where a nonzero value underflows a double."""
-    import mpmath as mp
+    """A nonnegative Fraction as a float, or as a 17-digit decimal string where a nonzero value underflows a double."""
+    from decimal import Context
 
     f = float(x)
-    return mp.nstr(x, 17) if x and abs(f) < sys.float_info.min else f
+    if not x or f >= sys.float_info.min:
+        return f
+    mantissa, _, exponent = f"{Context(prec=17).divide(x.numerator, x.denominator):.16e}".partition("e")
+    mantissa = mantissa.rstrip("0")
+    return f"{mantissa}{'0' if mantissa.endswith('.') else ''}e{int(exponent)}"
 
 
 def _fields(obj, value: str, *names: str, **extra):
@@ -114,7 +118,7 @@ def _roots(m, bits, check_power_sums):
     if check_power_sums:
         dev = cis.spectral.power_sum_check(rs).max_deviation
         meta.update(power_sum_max_deviation=dev, power_sums_ok=dev < 1e-9)
-    return [[float(z.real), float(z.imag)] for z in rs.roots], None, meta
+    return [[z.real, z.imag] for z in rs.roots], None, meta
 
 
 def _recip_series(m, k):

@@ -245,6 +245,23 @@ def test_oversized_exact_work_exits_4_promptly(run_cli, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("l1-closed", "--m", "1000000000"),
+    ("l1-closed", "--m", "501"),
+    ("l1-closed", "--m", "5", "--bits", "1000000000"),
+    ("l1-closed", "--m", "500", "--bits", "1024"),
+    ("roots", "--m", "1000", "--bits", "40", "--check-power-sums"),
+    ("roots", "--m", "3", "--bits", "1000000000"),
+])
+def test_spectral_work_past_its_cap_exits_4_within_a_second(run_cli, capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
     # neither needs its huge power: m^k and k! at k = 10^9, or 100000^(10^9)
     start = time.perf_counter()

@@ -2,7 +2,8 @@
 
 The package exports its names lazily, and the CLI imports a compute module
 only when a command calls it, so numpy loads only where words are sampled
-or enumerated or codes sieved, and mpmath only where spectral code runs.
+or enumerated or codes sieved.  No module loads mpmath: the spectral route
+runs on integers and the standard library.
 The audit runs fresh interpreters, one at a time, each against its own
 cache directory.
 """
@@ -50,6 +51,8 @@ _COMMAND_LOADS = [
     (("l1-exact", "--m", "2"), set()),
     (("prob-complete", "--m", "2", "--n", "4"), set()),
     (("invgamma", "--y", "5040"), set()),
+    (("l1-closed", "--m", "12"), set()),
+    (("roots", "--m", "12", "--check-power-sums"), set()),
     (("bounds", "tail", "--family", "continuous", "--n", "6", "--m", "2", "--k", "3"), set()),
     # the control: a sampling command does load numpy
     (("mc", "l1", "--m", "2", "--n", "5", "--trials", "10", "--seed", "1"), {"numpy"}),
@@ -66,8 +69,15 @@ def test_commands_load_numpy_and_mpmath_only_where_they_compute_with_them(tmp_pa
 
 
 def test_a_cached_roots_record_loads_neither(tmp_path):
-    assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == {"mpmath"}
     assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == set()
+    assert _loaded(_CLI, "roots", "--m", "6", cache=tmp_path) == set()
+
+
+def test_no_module_of_the_package_loads_mpmath(tmp_path):
+    code = ('import json, sys, cis\n'
+            'for name in sorted(cis._SUBMODULES): getattr(cis, name)\n'
+            'print(json.dumps(["mpmath"] if "mpmath" in sys.modules else []), file=sys.stderr)')
+    assert _loaded(code, cache=tmp_path) == set()
 
 
 def test_a_cached_gv_code_record_loads_neither(tmp_path):
@@ -82,7 +92,7 @@ def test_spectral_loads_neither_exact_nor_words(tmp_path):
     assert _loaded(code, cache=tmp_path) == set()
 
 
-# every name cis 0.3.0 exported, by the module that defines it
+# every name cis 0.4.0 exports, by the module that defines it (the same as 0.3.0)
 _EXPORTS = {
     "errors": ("AlphabetViolation", "CisError", "DomainError", "InternalInconsistency",
                "MultiplicityViolation", "NoConvergence", "SpaceTooLarge"),

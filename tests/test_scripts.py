@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cis import NoConvergence, exact, spectral
+from cis import SpaceTooLarge, exact, spectral
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -101,14 +101,14 @@ def test_l1_table_leaves_a_refused_series_empty(capsys, tmp_path, monkeypatch):
         k: v for k, v in full_rows[1].items() if k not in empty}
 
 
-def test_l1_table_leaves_an_uncertified_closed_form_empty(capsys, tmp_path, monkeypatch):
+def test_l1_table_leaves_a_refused_closed_form_empty(capsys, tmp_path, monkeypatch):
     l1_table = _load("l1_table")
     full_lines, full_rows = _l1_table_rows(l1_table, capsys, tmp_path)
     closed_form = l1_table.l1_closed_form
 
     def refuse_m_2(m):
         if m == 2:
-            raise NoConvergence("residual exceeds certification tolerance")
+            raise SpaceTooLarge("l1_closed_form at m=2 is past the cap")
         return closed_form(m)
 
     monkeypatch.setattr(l1_table, "l1_closed_form", refuse_m_2)

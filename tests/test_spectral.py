@@ -1,4 +1,7 @@
-"""Root finding, the spectral closed form, and its exact side identities."""
+"""Root finding, the spectral closed form, and its exact side identities.
+
+mpmath is the independent reference here: the library uses none of it.
+"""
 
 import functools
 import math
@@ -12,6 +15,8 @@ from mpmath import workprec
 
 from cis import (
     DomainError,
+    NoConvergence,
+    SpaceTooLarge,
     approx_l1,
     find_roots,
     inverse_power_sums_exact,
@@ -24,6 +29,13 @@ from cis import (
     zemyan_targets,
 )
 from cis import spectral
+
+
+def _mp_roots(rs):
+    """The fixed-point zeros of a RootSet as exact mpmath numbers."""
+    p = rs.frac_bits
+    with workprec(max(abs(v).bit_length() for point in rs.points for v in point) + 1):
+        return [mpmath.mpc(mpmath.mpf((x, -p)), mpmath.mpf((y, -p))) for x, y in rs.points]
 
 
 def test_truncated_exp_coefficients():
@@ -40,9 +52,9 @@ def test_power_sum_table_matches_newton(m):
 def test_roots_small_m_known_values():
     rs = find_roots(1)
     assert len(rs.roots) == 1
-    assert abs(rs.roots[0] - (-1)) < 1e-30
+    assert abs(_mp_roots(rs)[0] - (-1)) < 1e-30
     rs2 = find_roots(2)
-    got = sorted((float(z.real), float(z.imag)) for z in rs2.roots)
+    got = sorted((z.real, z.imag) for z in rs2.roots)
     assert got[0][0] == pytest.approx(-1.0, abs=1e-12)
     assert got[0][1] == pytest.approx(-1.0, abs=1e-12)
     assert got[1][1] == pytest.approx(1.0, abs=1e-12)
@@ -53,18 +65,19 @@ def test_roots_certified_and_consistent(m):
     rs = find_roots(m)
     assert len(rs.roots) == m
     assert max(rs.residuals) < rs.tolerance
+    roots = _mp_roots(rs)
     # elementary symmetric identities of E_m: sum = -m, product = (-1)^m m!
     with workprec(rs.precision_bits):
-        total = sum(rs.roots)
+        total = sum(roots)
         prod = 1
-        for z in rs.roots:
+        for z in roots:
             prod *= z
         sum_err = abs(total - (-m))
         prod_err = abs(prod - (-1) ** m * math.factorial(m))
     assert sum_err < 1e-30
     assert prod_err < 1e-30 * math.factorial(m)
     # non-real roots come in conjugate pairs
-    tagged = sorted((round(float(z.real), 20), round(abs(float(z.imag)), 20)) for z in rs.roots if abs(z.imag) > 1e-25)
+    tagged = sorted((round(float(z.real), 20), round(abs(float(z.imag)), 20)) for z in roots if abs(z.imag) > 1e-25)
     assert len(tagged) % 2 == 0
     assert all(tagged[2 * i] == tagged[2 * i + 1] for i in range(len(tagged) // 2))
 
@@ -166,7 +179,7 @@ def test_mp_stage_takes_at_most_four_sweeps(m):
 
 @pytest.mark.parametrize("m", range(2, 41))
 def test_conjugate_pairs_list_lower_half_plane_first(m):
-    roots = _solve(m)[0].roots
+    roots = _mp_roots(_solve(m)[0])
     nonreal = [z for z in roots if abs(z.imag) > 1e-30]
     assert len(nonreal) == 2 * (m // 2)
     with workprec(128):
@@ -195,7 +208,7 @@ def test_root_sort_rounds_real_parts_half_to_even(q):
 
 @pytest.mark.parametrize("m", range(1, 21))
 def test_roots_match_mpmath_polyroots(m):
-    ours = find_roots(m).roots
+    ours = _mp_roots(find_roots(m))
     with workprec(256):
         coeffs = [mpmath.mpf(1) / math.factorial(k) for k in reversed(range(m + 1))]
         ref = mpmath.polyroots(coeffs, maxsteps=200, extraprec=128)
@@ -267,3 +280,153 @@ def test_find_roots_certifies_m69_and_m70(m):
     assert max(rs.residuals) < rs.tolerance
     report = power_sum_check(rs)
     assert report.max_deviation < 1e-20
+
+
+# ---------------------------------------------------------------------------
+# the closed form on integers
+
+
+def _half_unit(value_str):
+    """Half a unit in the last place of a decimal string, as a Fraction."""
+    return Fraction(1, 2 * 10 ** len(value_str.partition(".")[2]))
+
+
+@pytest.mark.parametrize("m", [*range(1, 31), 40])
+def test_closed_form_lies_within_the_series_tail(m):
+    # the series' terms are probabilities, so its exact partial sum is below
+    # the limit by the tail; the closed form's digits are within half a unit
+    # of the limit, and below 2^-bits (m = 41..60 pass too, in about two minutes)
+    series = l1_series(m)
+    cf = l1_closed_form(m)
+    gap = Fraction(cf.value_str) - series.exact_partial_sum
+    slack = _half_unit(cf.value_str) + Fraction(1, 2**cf.precision_bits)
+    assert -slack <= gap <= Fraction(series.truncation_bound) + slack
+
+
+@functools.cache
+def _mp_closed_form(m):
+    """-1 - sum_i exp(-alpha_i)/alpha_i over certified zeros, summed in 320-bit mpmath."""
+    with workprec(320):
+        return -1 - sum((mpmath.exp(-a) / a for a in _mp_roots(find_roots(m))), mpmath.mpc(0))
+
+
+@pytest.mark.parametrize("m", range(1, 71))
+def test_closed_form_matches_the_root_route(m):
+    # the zeros are good to about 2^-144 relative, and the terms reach
+    # about e^(0.28 m), so the root route is good to far below 1e-30
+    ref = _mp_closed_form(m)
+    cf = l1_closed_form(m)
+    assert abs(ref.imag) < 1e-30
+    with workprec(320):
+        assert abs(mpmath.mpf(cf.value_str) - ref.real) < 1e-30
+    assert cf.value == float(ref.real)  # the nearest double
+    assert cf.imag_residue == 0.0
+
+
+@pytest.mark.parametrize("bits", [32, 64, 128, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 20, 40, 60, 70])
+def test_every_printed_digit_agrees_at_twice_the_bits(m, bits):
+    # value_str at 2 bits, rounded half up to the places value_str prints,
+    # gives value_str; and value_str drops at most two of the places that
+    # 2^-bits allows
+    short, long = l1_closed_form(m, bits).value_str, l1_closed_form(m, 2 * bits).value_str
+    places = len(short.partition(".")[2])
+    assert int(bits * math.log10(2)) - 2 <= places <= int(bits * math.log10(2))
+    rounded = math.floor(Fraction(long) * 10**places + Fraction(1, 2))
+    assert Fraction(rounded, 10**places) == Fraction(short)
+
+
+def test_closed_form_at_m60_prints_only_covered_digits():
+    # at 128 bits the root route printed 40 digits, and the 40th moved with
+    # the root set; the 384-bit value reads ...3740230814
+    cf = l1_closed_form(60)
+    ref = l1_closed_form(60, 384)
+    assert ref.value_str.startswith(cf.value_str[:-1])
+    assert "3740230814" in ref.value_str
+    assert abs(Fraction(cf.value_str) - Fraction(ref.value_str)) <= _half_unit(cf.value_str)
+
+
+def test_closed_form_answers_past_the_root_solve():
+    # m = 100 has no certified roots at 128 bits, but the series needs none
+    with pytest.raises(NoConvergence):
+        find_roots(100)
+    cf = l1_closed_form(100)
+    assert abs(cf.value - approx_l1(100)) < 1e-12
+
+
+def _newton_reference(m, t_max):
+    """sum_i alpha_i^(-t), t = 1..t_max, by Newton's identities in Fractions on the reversed E_m."""
+    e = [Fraction((-1) ** k, math.factorial(k)) for k in range(m + 1)]
+    p = []
+    for k in range(1, t_max + 1):
+        if k <= m:
+            acc = Fraction((-1) ** (k - 1) * k) * e[k]
+            for i in range(1, k):
+                acc += (-1) ** (i - 1) * e[i] * p[k - i - 1]
+        else:
+            acc = Fraction(0)
+            for i in range(1, m + 1):
+                acc += (-1) ** (i - 1) * e[i] * p[k - i - 1]
+        p.append(acc)
+    return p
+
+
+@pytest.mark.parametrize("m", range(1, 31))
+def test_integer_recurrence_matches_fraction_newton(m):
+    assert inverse_power_sums_exact(m, 3 * m) == _newton_reference(m, 3 * m)
+
+
+def test_perturbed_root_fails_the_residual_certificate():
+    rs = find_roots(12)
+    p, points = rs.frac_bits, list(rs.points)
+    spectral._certify(12, 128, points, p, spectral._residuals(12, points, p))
+    # one zero moved by 2^-80: its residual is far above 1e-32
+    x, y = points[5]
+    points[5] = (x + (1 << (p - 80)), y)
+    with pytest.raises(NoConvergence, match="residual"):
+        spectral._certify(12, 128, points, p, spectral._residuals(12, points, p))
+
+
+@pytest.mark.parametrize("m", [3, 12, 40])
+def test_residuals_are_exact_upper_bounds(m):
+    # each reported residual is at least |E_m| at the exact point, from
+    # 2048-bit mpmath, and above it by less than 2^-60 of it
+    rs = find_roots(m)
+    with workprec(2048):
+        coeffs = [mpmath.mpf(1) / math.factorial(k) for k in range(m + 1)]
+        for z, r in zip(_mp_roots(rs), rs.residuals):
+            true = abs(spectral._horner(coeffs, z))
+            bound = mpmath.mpf(r.numerator) / r.denominator
+            assert true <= bound <= true * (1 + mpmath.mpf(2) ** -60)
+
+
+def test_double_pass_stops_once_the_step_stops_falling(monkeypatch):
+    # the largest step bottoms out after about 9 sweeps at m = 12 and 20;
+    # at m = 40 early sweeps rise and fall between 0.4 and 3 and must not stop it
+    sweeps = {}
+    aberth = spectral._aberth
+
+    def counting(coeffs, z, cap):
+        sweeps[len(z)] = aberth(coeffs, z, cap)
+        return sweeps[len(z)]
+
+    monkeypatch.setattr(spectral, "_aberth", counting)
+    for m in (12, 20, 40):
+        spectral._double_start(m)
+    assert sweeps[12] <= 10 and sweeps[20] <= 10
+    assert 13 <= sweeps[40] < 20
+
+
+@pytest.mark.parametrize("route, args", [
+    (l1_closed_form, (501,)),
+    (l1_closed_form, (10**9,)),
+    (l1_closed_form, (5, 10**9)),
+    (l1_closed_form, (500, 1024)),
+    (find_roots, (1000, 40)),
+    (find_roots, (3, 10**9)),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(map(str, v)))
+def test_spectral_caps_refuse_before_computing(route, args):
+    start = time.process_time()
+    with pytest.raises(SpaceTooLarge):
+        route(*args)
+    assert time.process_time() - start < 1.0
