@@ -30,6 +30,7 @@ COMMANDS = {
     "l1-exact-warm": (("l1-exact", "--m", "2"), True),
     "prob-complete": (("prob-complete", "--m", "2", "--n", "4"), False),
     "prob-complete-brute": (("prob-complete", "--m", "2", "--n", "3", "--engine", "brute"), False),
+    "gv-code-cold": (("bounds", "gv-code", "--m", "2", "--n", "14", "--delta", "4"), False),
     "gv-code-warm": (("bounds", "gv-code", "--m", "2", "--n", "14", "--delta", "4"), True),
     "invgamma": (("invgamma", "--y", "5040"), False),
     "l1-closed": (("l1-closed", "--m", "12"), False),

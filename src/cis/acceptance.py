@@ -259,9 +259,8 @@ def _c6(level):
     return True, f"{tails} tail bounds and {floors} completion floors hold on {len(grid)} instances"
 
 
-@_criterion(7, "Gilbert-Varshamov codes", budget=120.0)
-def _c7(level):
-    cap = 10**5 if level == "full" else 10**3
+def _gv_instances(cap: int) -> list[tuple[int, int, int]]:
+    """Every (m, n, delta) with n >= 2, m^n <= cap and 1 <= delta <= n/2."""
     instances = []
     m = 2
     while m * m <= cap:
@@ -270,6 +269,13 @@ def _c7(level):
             instances.extend((m, n, delta) for delta in range(1, n // 2 + 1))
             n += 1
         m += 1
+    return instances
+
+
+@_criterion(7, "Gilbert-Varshamov codes", budget=120.0)
+def _c7(level):
+    cap = 10**5 if level == "full" else 10**3
+    instances = _gv_instances(cap)
     for m, n, delta in instances:
         code = bounds.greedy_code(m, n, delta, cap=cap)
         if Fraction(code.size) < bounds.gv_size_bound(m, n, delta):

@@ -33,6 +33,11 @@ _ONE = Fraction(1)
 # largest k for which factorial_threshold and completion_lower compute k!; at
 # 10^5 a factorial_threshold call takes about a second
 FACTORIAL_K_CAP = 10**5
+# largest m^n that greedy_code sieves, whatever its cap.  On one core the
+# slowest generic-sieve input under it, (3, 13, 2), takes about 5 s, and the
+# slowest of all, (2, 22, 11) with its 2.4-million-row ball table, about 7 s
+# in 0.75 GB; (3, 14, 2), just past it, takes 10 s
+GREEDY_SPACE_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -120,35 +125,25 @@ def _ball_shifts(m: int, n: int, radius: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
-    """Maximal packing with minimum distance delta, in lexicographic order.
+def _place(m: int, n: int) -> np.ndarray:
+    """Place values m^(n-1), ..., m, 1 of a word's digits in its index."""
+    import numpy as np
 
-    Admits a word iff it is at distance >= delta from everything admitted
-    before it.  Implemented as a sieve over the m^n word indices: each
-    admission kills its radius-(delta - 1) ball with one scatter through a
-    shift table built once, and the next survivor is found by a C-level
-    search of the dead mask; the two formulations pick the same code.  The
-    size always meets gv_size_bound when delta <= n/2.
+    return m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _ball_sieve(m: int, n: int, delta: int) -> np.ndarray:
+    """Sorted indices of the lexicographic code, one ball scatter per admitted word.
+
+    Each admission kills its radius-(delta - 1) ball through a shift table
+    built once, and the next survivor is found by a C-level search of the
+    dead mask.  Serves every m, and is the reference for _xor_sieve.
     """
     import numpy as np
 
-    if m < 2:
-        raise DomainError(f"need m >= 2, got m={m}")
-    if not 1 <= delta or 2 * delta > n:
-        raise DomainError(f"need 1 <= delta <= n/2, got delta={delta}, n={n}")
-    # m >= 2, so m^b > cap for b = cap.bit_length(): the power is exact up
-    # to n = b, and past it the first b factors already exceed the cap
-    space = m ** min(n, cap.bit_length())
-    if space > cap:
-        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds cap {cap}")
-
-    if delta == 1:
-        # distinct words always differ somewhere; the whole space packs
-        return CodeBook(m, n, 1, tuple(product(range(1, m + 1), repeat=n)))
-
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    place = _place(m, n)
     shifts = _ball_shifts(m, n, delta - 1)
-    dead = bytearray(space)
+    dead = bytearray(m**n)
     dead_view = np.frombuffer(dead, dtype=np.uint8)
     admitted = []
     idx = 0
@@ -157,7 +152,76 @@ def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
         digits = idx // place % m
         dead_view[(digits + shifts) % m @ place] = 1
         idx = dead.find(0, idx + 1)
-    words = np.array(admitted, dtype=np.int64)[:, None] // place % m + 1
+    return np.array(admitted, dtype=np.int64)
+
+
+def _xor_sieve(m: int, n: int, delta: int) -> np.ndarray:
+    """Sorted indices of the lexicographic code for m a power of two, one mask update per generator.
+
+    The code is closed under XOR of indices, so its dead set is C xor B, B
+    the radius-(delta - 1) ball around index 0 (0 included).  Admitting the
+    first live index g doubles C to C | (C xor g) and the dead set D to
+    D | (D xor g); at most log2(m^n) generators build the code.  D xor g is
+    a view, the mask as a cube of side 2 flipped on the axes of g's bits, so
+    no index array over the space is built: the widest temporary is the one
+    copy numpy makes of that view, since it overlaps the mask it updates.
+    """
+    import numpy as np
+
+    space = m**n
+    bits = space.bit_length() - 1
+    dead = bytearray(space)
+    dead_view = np.frombuffer(dead, dtype=np.uint8)
+    dead_view[_ball_shifts(m, n, delta - 1) @ _place(m, n)] = 1
+    dead_view[0] = 1
+    cube = dead_view.reshape((2,) * bits)  # axis j holds index bit bits - 1 - j
+    code = [0]
+    g = dead.find(0)
+    while g >= 0:
+        # g is clear at each earlier generator's top bit (else g xor that
+        # generator would be a smaller live index) and its own top bit is
+        # higher, so C xor g follows C in C's order: the list stays sorted
+        code += [c ^ g for c in code]
+        cube |= np.flip(cube, tuple(bits - 1 - k for k in range(bits) if g >> k & 1))
+        g = dead.find(0, g + 1)
+    return np.array(code, dtype=np.int64)
+
+
+def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
+    """Maximal packing with minimum distance delta, in lexicographic order.
+
+    Admits a word iff it is at distance >= delta from everything admitted
+    before it.  Implemented as a sieve over the m^n word indices, with the
+    letters 0..m-1 as base-m digits.  When m is a power of two, XOR of two
+    indices is nim addition of their words letter by letter, and a
+    lexicographic code is closed under it (Conway and Sloane,
+    "Lexicographic codes: error-correcting codes from game theory", IEEE
+    Trans. Inf. Theory 32, 1986; Brualdi and Pless, "Greedy codes", J.
+    Combin. Theory A 64, 1993): _xor_sieve then builds the code from its
+    generators.  Every other m takes _ball_sieve, one ball scatter per
+    admitted word, which stays the reference that the tests compare the
+    XOR sieve with.  The size always meets gv_size_bound when delta <= n/2.
+    Raises SpaceTooLarge when m^n exceeds cap or GREEDY_SPACE_CAP.
+    """
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m={m}")
+    if not 1 <= delta or 2 * delta > n:
+        raise DomainError(f"need 1 <= delta <= n/2, got delta={delta}, n={n}")
+    # m >= 2, so m^b > limit for b = limit.bit_length(): the power is exact
+    # up to n = b, and past it the first b factors already exceed the limit
+    limit = min(cap, GREEDY_SPACE_CAP)
+    space = m ** min(n, limit.bit_length())
+    if space > cap:
+        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds cap {cap}")
+    if space > GREEDY_SPACE_CAP:
+        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds the ceiling {GREEDY_SPACE_CAP} on any cap")
+
+    if delta == 1:
+        # distinct words always differ somewhere; the whole space packs
+        return CodeBook(m, n, 1, tuple(product(range(1, m + 1), repeat=n)))
+
+    sieve = _xor_sieve if m & (m - 1) == 0 else _ball_sieve
+    words = sieve(m, n, delta)[:, None] // _place(m, n) % m + 1
     return CodeBook(m, n, delta, tuple(map(tuple, words.tolist())))
 
 

@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cis import bounds
+from cis.acceptance import _gv_instances
 from cis import (
     DomainError,
     SpaceTooLarge,
@@ -107,12 +109,33 @@ def _reference_sieve(m, n, delta):
 
 @pytest.mark.parametrize("m,n,delta", [
     (2, 2, 1), (3, 4, 1), (2, 4, 2), (2, 6, 3), (2, 8, 2), (2, 10, 5), (3, 6, 2), (4, 6, 3),
-    (2, 14, 4), (3, 9, 3), (3, 8, 4), (5, 5, 2), (7, 4, 2),
+    (2, 14, 4), (3, 9, 3), (3, 8, 4), (5, 5, 2), (7, 4, 2), (8, 4, 2), (8, 5, 2), (16, 4, 2),
 ])
 def test_greedy_code_matches_reference_sieve(m, n, delta):
     code = greedy_code(m, n, delta)
     assert code.words == _reference_sieve(m, n, delta)
     assert all(type(d) is int for w in code.words[:3] for d in w)
+
+
+_XOR_INSTANCES = [(m, n, delta) for m, n, delta in _gv_instances(10**3) if m & (m - 1) == 0 and delta >= 2]
+
+
+@pytest.mark.parametrize("m,n,delta", [*_XOR_INSTANCES, (2, 16, 4), (4, 8, 3)])
+def test_xor_sieve_matches_ball_sieve_and_is_closed_under_xor(m, n, delta):
+    code = bounds._xor_sieve(m, n, delta)
+    assert code.tolist() == bounds._ball_sieve(m, n, delta).tolist()
+    for c in code.tolist():
+        assert np.array_equal(np.sort(code ^ c), code)
+
+
+def test_greedy_code_takes_the_xor_sieve_exactly_at_powers_of_two(monkeypatch):
+    calls = []
+    for name in ("_xor_sieve", "_ball_sieve"):
+        sieve = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, name=name, sieve=sieve: calls.append(name) or sieve(*a))
+    for m in (2, 3, 4, 5, 6, 8):
+        greedy_code(m, 4, 2)
+    assert calls == ["_xor_sieve", "_ball_sieve", "_xor_sieve", "_ball_sieve", "_ball_sieve", "_xor_sieve"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,6 +184,18 @@ def test_greedy_code_validation():
     # 100000^(10^9) would take minutes to build
     with pytest.raises(SpaceTooLarge, match=r"100000\^1000000000 exceeds cap 1000"):
         greedy_code(10**5, 10**9, 1, cap=1000)
+
+
+def test_greedy_code_refuses_a_space_past_the_ceiling_whatever_the_cap(monkeypatch):
+    with pytest.raises(SpaceTooLarge, match=r"2\^40 exceeds the ceiling 4194304"):
+        greedy_code(2, 40, 2, cap=10**13)
+    monkeypatch.setattr(bounds, "GREEDY_SPACE_CAP", 64)
+    assert greedy_code(2, 6, 2, cap=10**13).size == 32
+    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds the ceiling 64"):
+        greedy_code(2, 7, 2, cap=10**13)
+    # a cap below the ceiling is still the one that refuses
+    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds cap 100"):
+        greedy_code(2, 7, 2, cap=100)
 
 
 def test_inverse_gamma_round_trip():

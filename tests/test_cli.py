@@ -276,6 +276,22 @@ def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "gv-code", "--m", "2", "--n", "40", "--delta", "2", "--cap", "10000000000000"),
+    ("bounds", "gv-code", "--m", "3", "--n", "14", "--delta", "2", "--cap", "20000000"),
+    ("bounds", "entropy-check", "--n", "1000000000", "--delta", "500000000"),
+    ("bounds", "entropy-check", "--n", "1000000000", "--delta", "999999000"),
+])
+def test_bounds_past_their_ceilings_exit_4_within_a_second(run_cli, capsys, argv):
+    # a huge --cap meets the sieve's ceiling; C(10^9, 5*10^8) is refused before math.comb builds it
+    start = time.perf_counter()
+    code, out = run_cli(*argv)
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_completion_lower_with_a_huge_factorial_answers_within_a_second(run_cli, capsys):
     # 10^9! is never needed when delta! <= t_size - 1 makes the floor 0;
     # otherwise the same delta is refused before its factorial is taken
