@@ -15,7 +15,7 @@ no module imports mpmath, which only the tests use as a reference.
 
 import importlib
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # module -> the names it exports, in the order of __all__
 _EXPORTS = {
@@ -23,17 +23,15 @@ _EXPORTS = {
                "MultiplicityViolation", "NoConvergence", "SpaceTooLarge"),
     "rng": ("RandomSource", "substream"),
     "words": ("Word", "count_complete_bruteforce", "enumerate_words", "l1", "l_max", "l_start",
-              "make_word", "multiset_count", "sample_uniform"),
+              "make_word", "multiset_count"),
     "exact": ("SeriesResult", "approx_l1", "complete_prob", "horton_kurn_h",
-              "l1_finite_expectation", "l1_series", "p_value", "phi_apply", "phi_inverse", "q_poly",
-              "weak_compositions"),
-    "spectral": ("ClosedForm", "PartitionReport", "PowerSumReport", "ReciprocalSeries", "RootSet",
-                 "find_roots", "inverse_power_sums_exact", "l1_closed_form", "power_sum_check",
-                 "reciprocal_series", "root_partition_diagnostic", "truncated_exp", "zemyan_targets"),
+              "l1_finite_expectation", "l1_series", "p_value", "weak_compositions"),
+    "spectral": ("ClosedForm", "PowerSumReport", "ReciprocalSeries", "RootSet", "find_roots",
+                 "inverse_power_sums_exact", "l1_closed_form", "power_sum_check", "reciprocal_series"),
     "bounds": ("AsymptoticLower", "CodeBook", "EntropyCheck", "ExpectationBound", "FactorialThreshold",
                "WordFamily", "arithmetic_progressions", "block_lower_bound", "completion_lower",
                "continuous_runs", "entropy_binom_check", "expectation_upper", "factorial_threshold",
-               "greedy_code", "gv_size_bound", "hamming", "inverse_gamma", "lower_cont_asymptotic",
+               "greedy_code", "gv_size_bound", "inverse_gamma", "lower_cont_asymptotic",
                "tail_bound"),
     "montecarlo": ("Estimate", "MomentReport", "Obs1Report", "Obs2Report", "central_target",
                    "check_observation1", "check_observation2", "estimate_l1", "estimate_lis",

@@ -15,6 +15,7 @@ regime.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -38,6 +39,9 @@ FACTORIAL_K_CAP = 10**5
 # slowest of all, (2, 22, 11) with its 2.4-million-row ball table, about 7 s
 # in 0.75 GB; (3, 14, 2), just past it, takes 10 s
 GREEDY_SPACE_CAP = 2**22
+# most bits, by the entropy exponent that bounds log2 C(n, delta) above,
+# of a binomial entropy_binom_check builds: C(2^17, 2^16) takes about 0.3 s
+ENTROPY_BITS_CAP = 2**17
 
 
 @dataclass(frozen=True)
@@ -78,13 +82,6 @@ def continuous_runs(n: int) -> WordFamily:
 def arithmetic_progressions(n: int) -> WordFamily:
     """Family of increasing arithmetic progressions inside [1..n]."""
     return WordFamily("arithmetic", n)
-
-
-def hamming(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    """Number of coordinates where two equal-length tuples differ."""
-    if len(x) != len(y):
-        raise DomainError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(a != b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -425,7 +422,11 @@ class EntropyCheck:
 
 
 def entropy_binom_check(n: int, delta: int) -> EntropyCheck:
-    """Verify C(n, delta) <= 2^(H(delta/n) n), H the binary entropy."""
+    """Verify C(n, delta) <= 2^(H(delta/n) n), H the binary entropy.
+
+    Raises SpaceTooLarge, before math.comb builds the binomial, when the
+    exponent H(delta/n) n is past ENTROPY_BITS_CAP.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got n={n}")
     if not 0 <= delta <= n:
@@ -435,7 +436,10 @@ def entropy_binom_check(n: int, delta: int) -> EntropyCheck:
         h = 0.0
     else:
         h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-    exponent = h * n
+    exponent = h * n if n <= sys.float_info.max else math.inf  # an n past the doubles is refused too
+    if exponent > ENTROPY_BITS_CAP:
+        raise SpaceTooLarge(f"the binomial C({n}, {delta}) has up to {exponent:.0f} bits, "
+                            f"past the cap {ENTROPY_BITS_CAP}")
     binom = math.comb(n, delta)
     # compare in log space; 1e-9 absorbs rounding at the equality edges
     holds = math.log2(binom) <= exponent + 1e-9

@@ -135,12 +135,6 @@ def _gv_code(m, n, delta, cap):
 
 
 def _entropy_check(n, delta):
-    # C(n, k) >= (n/k)^k for k = min(delta, n - delta): past the digit limit,
-    # fail before math.comb builds the binomial
-    k, limit = min(delta, n - delta), _digit_limit()
-    if limit and k > 0 and k * (math.log10(n) - math.log10(k)) > limit + 1:
-        raise SpaceTooLarge(f"the binomial C({n}, {delta}) has more than {limit} digits, "
-                            "past the interpreter's integer string limit")
     ec = cis.bounds.entropy_binom_check(n, delta)
     _check_digits(f"the binomial C({n}, {delta})", ec.binomial)
     return "holds" if ec.holds else "violated", None, {

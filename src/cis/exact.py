@@ -145,28 +145,6 @@ def horton_kurn_h(m: int, n: int) -> int:
     return h
 
 
-def q_poly(m: int) -> tuple[int, ...]:
-    """Coefficients of q_m(x) = -m! * sum_{j=1..m} x^j/(m-j)!, constant term first.
-
-    Its n-th power, pushed through Phi and evaluated at -1, reproduces the
-    complete-run probability for alphabet size n.  All coefficients are
-    integers: m!/(m-j)! = m(m-1)...(m-j+1), taken as running products.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got m={m}")
-    return (0, *(-c for c in accumulate(range(m, 0, -1), mul)))
-
-
-def phi_apply(coeffs) -> tuple[Fraction, ...]:
-    """Linear map x^k -> x^k / k! on coefficients, constant term first."""
-    return tuple(Fraction(c) / factorial(k) for k, c in enumerate(coeffs))
-
-
-def phi_inverse(coeffs) -> tuple[Fraction, ...]:
-    """Inverse of phi_apply: x^k -> k! * x^k."""
-    return tuple(Fraction(c) * factorial(k) for k, c in enumerate(coeffs))
-
-
 def _check_degree(m: int, n: int) -> None:
     if n * (m - 1) > GF_DEGREE_CAP:
         raise SpaceTooLarge(

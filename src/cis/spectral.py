@@ -20,8 +20,8 @@ Enestrom-Kakeya theorem every zero has 1 <= |alpha| <= m.  Then
 2 m^(K+1)/(K+1)! once K + 2 >= 2m: a proven error bound, with no root
 solve and no floating point.
 
-The zeros themselves, for the `roots` command and for the identities
-below, come from simultaneous Aberth-Ehrlich iteration in two
+The zeros themselves, for the `roots` command and for the power-sum
+check below, come from simultaneous Aberth-Ehrlich iteration in two
 arithmetics: a few sweeps in IEEE double from a circle of radius m/2,
 then sweeps on fixed-point Gaussian integers at the working precision
 from where those stopped, on the integer polynomial m! E_m.  Each root is
@@ -59,24 +59,10 @@ L1_WORK_CAP = 750_000
 # find_roots' cap on m^2 (precision_bits + 64): about m^2 point-pair
 # updates per sweep, each a few products of (precision_bits + 64)-bit ints
 ROOTS_WORK_CAP = 7_000_000
-
-
-def truncated_exp(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of E_m(x) = sum_{k=0..m} x^k / k!, constant term first."""
-    if m < 0:
-        raise DomainError(f"need m >= 0, got {m}")
-    return tuple(Fraction(1, factorial(k)) for k in range(m + 1))
-
-
-def zemyan_targets(m: int) -> list[Fraction]:
-    """Exact inverse power sums sum_i alpha_i^(-t) for t = 1..m+2."""
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    out = [Fraction(-1)]
-    out.extend([Fraction(0)] * (m - 1))
-    out.append(Fraction(1, factorial(m)))
-    out.append(Fraction(-1, factorial(m)))
-    return out
+# reciprocal_series' caps on m and K, checked before it computes: its
+# Fractions grow with both, and (1000, 150) takes about 0.7 s on 2 CPUs
+RECIP_MAX_M = 1000
+RECIP_MAX_K = 150
 
 
 def inverse_power_sums_exact(m: int, t_max: int) -> list[Fraction]:
@@ -631,10 +617,15 @@ def reciprocal_series(m: int, K: int) -> ReciprocalSeries:
 
     x^(m+1)/((m+1)! R_m(x)) is the reciprocal of the power series
     1 + sum_{k>=1} (m+1)!/(m+1+k)! x^k, inverted term by term in exact
-    arithmetic.  c_0 = 1 and c_1 = -1/(m+2) always.
+    arithmetic.  c_0 = 1 and c_1 = -1/(m+2) always.  Raises
+    SpaceTooLarge, before computing, when m is past RECIP_MAX_M or K past
+    RECIP_MAX_K.
     """
     if m < 1 or K < 0:
         raise DomainError(f"need m >= 1 and K >= 0, got m={m}, K={K}")
+    if m > RECIP_MAX_M or K > RECIP_MAX_K:
+        raise SpaceTooLarge(f"reciprocal_series at m={m} and K={K} is past the caps "
+                            f"m <= {RECIP_MAX_M} and K <= {RECIP_MAX_K}")
     a = [Fraction(factorial(m + 1), factorial(m + 1 + k)) for k in range(K + 1)]
     c = [Fraction(1)]
     for k in range(1, K + 1):
@@ -646,68 +637,4 @@ def reciprocal_series(m: int, K: int) -> ReciprocalSeries:
     ok = all(abs(ck) <= ek for ck, ek in zip(c[1:], env[1:]))
     return ReciprocalSeries(
         m=m, coefficients=tuple(c), envelope=tuple(env), within_envelope=ok
-    )
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Diagnostic split of the zeros by real part against gamma * m.
-
-    The inequalities hold for sufficiently large m; at small m a False
-    field is a report, not an error.
-    """
-
-    m: int
-    gamma_minus: float
-    gamma: float
-    gamma_plus: float
-    n_small: int
-    n_large: int
-    large_modulus_ok: bool   # |alpha| >= m e^(gamma_minus - 1) on the large side
-    small_modulus_ok: bool   # |alpha| <= m e^(gamma_plus - 1) on the small side
-    small_below_half: bool   # |alpha| < m/2 on the small side
-    tail_sum: float          # |sum over large side of exp(-alpha)/alpha|
-    tail_bound: float        # gamma^(-1) e^(-gamma m); tail_sum <= this always
-    tail_ok: bool
-
-
-def root_partition_diagnostic(
-    rootset: RootSet,
-    gamma_minus: float = 0.15,
-    gamma: float = 0.22,
-    gamma_plus: float = 0.29,
-) -> PartitionReport:
-    """Partition the zeros at real part gamma*m and test the modulus bounds.
-
-    Requires 0 < gamma_minus < gamma < gamma_plus < 1 - log 2.  The bound
-    on the large-side tail sum (tail_sum <= tail_bound) holds for every m;
-    the modulus inequalities are asymptotic and may fail for small m.  A
-    diagnostic, so it runs in double (cmath) on the roots.
-    """
-    if not (0 < gamma_minus < gamma < gamma_plus < 1 - math.log(2)):
-        raise DomainError(
-            "need 0 < gamma_minus < gamma < gamma_plus < 1 - log 2, got "
-            f"({gamma_minus}, {gamma}, {gamma_plus})"
-        )
-    m = rootset.m
-    cut = gamma * m
-    small = [a for a in rootset.roots if a.real <= cut]
-    large = [a for a in rootset.roots if a.real > cut]
-    lo = m * math.exp(gamma_minus - 1)
-    hi = m * math.exp(gamma_plus - 1)
-    tail = abs(sum((cmath.exp(-a) / a for a in large), 0j))
-    bound = math.exp(-gamma * m) / gamma
-    return PartitionReport(
-        m=m,
-        gamma_minus=gamma_minus,
-        gamma=gamma,
-        gamma_plus=gamma_plus,
-        n_small=len(small),
-        n_large=len(large),
-        large_modulus_ok=all(abs(a) >= lo for a in large),
-        small_modulus_ok=all(abs(a) <= hi for a in small),
-        small_below_half=all(abs(a) < m / 2 for a in small),
-        tail_sum=tail,
-        tail_bound=bound,
-        tail_ok=tail <= bound,
     )

@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import AlphabetViolation, DomainError, MultiplicityViolation, SpaceTooLarge
-
-if TYPE_CHECKING:
-    from .rng import RandomSource
 
 _MAX_LETTER = 2**31 - 1  # letters are kept within 32-bit range
 
 
 @dataclass(frozen=True)
 class Word:
-    """Immutable word from S_{m,n}; construct through make_word or samplers."""
+    """Immutable word from S_{m,n}; construct through make_word."""
 
     letters: tuple[int, ...]
     m: int
@@ -85,20 +82,6 @@ def multiset_count(m: int, n: int) -> int:
     """|S_{m,n}| = (mn)! / (m!)^n, exactly."""
     _check_mn(m, n)
     return math.factorial(m * n) // math.factorial(m) ** n
-
-
-def sample_uniform(m: int, n: int, rng: RandomSource) -> Word:
-    """Uniform draw from S_{m,n}.
-
-    Fisher-Yates shuffle of the sorted base word; deterministic for a fixed
-    RandomSource, so parallel callers must use distinct stream indices.
-    """
-    import numpy as np
-
-    _check_mn(m, n)
-    gen = rng.generator()
-    base = np.repeat(np.arange(1, n + 1, dtype=np.int32), m)
-    return Word(tuple(gen.permutation(base).tolist()), m, n)
 
 
 def l_start(word: Word, i: int) -> int:

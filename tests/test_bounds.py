@@ -1,6 +1,7 @@
 """Families, codes, thresholds, and the analytic bounds around them."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,7 +25,6 @@ from cis import (
     factorial_threshold,
     greedy_code,
     gv_size_bound,
-    hamming,
     inverse_gamma,
     l_max,
     lower_cont_asymptotic,
@@ -54,11 +54,15 @@ def test_tail_bound_values():
     assert tail_bound(arithmetic_progressions(5), 10**6, 10**9) == 0
 
 
+def _hamming(x, y):
+    """Number of coordinates where two words of one length differ: the reference for code distance."""
+    assert len(x) == len(y)
+    return sum(a != b for a, b in zip(x, y))
+
+
 def test_hamming():
-    assert hamming((1, 2, 3), (1, 2, 3)) == 0
-    assert hamming((1, 2, 3), (3, 2, 1)) == 2
-    with pytest.raises(DomainError):
-        hamming((1, 2), (1, 2, 3))
+    assert _hamming((1, 2, 3), (1, 2, 3)) == 0
+    assert _hamming((1, 2, 3), (3, 2, 1)) == 2
 
 
 def test_gv_size_bound_value():
@@ -76,11 +80,11 @@ def test_greedy_code_distance_and_gv(m, n, delta):
     code = greedy_code(m, n, delta)
     assert Fraction(code.size) >= gv_size_bound(m, n, delta)
     for x, y in combinations(code.words, 2):
-        assert hamming(x, y) >= delta
+        assert _hamming(x, y) >= delta
     # greedy maximality: every word of the space is within delta-1 of the code
     if m**n <= 300:
         for w in product(range(1, m + 1), repeat=n):
-            assert any(hamming(w, c) < delta for c in code.words)
+            assert any(_hamming(w, c) < delta for c in code.words)
 
 
 def _reference_sieve(m, n, delta):
@@ -149,7 +153,7 @@ def test_min_distance_check_is_the_pairwise_condition(data, m, n):
     code = bounds.CodeBook(m, n, delta, words)
     # duplicates count as distance 0
     assert _min_distance_ok(code, m, n, delta) == all(
-        hamming(x, y) >= delta for x, y in combinations(words, 2))
+        _hamming(x, y) >= delta for x, y in combinations(words, 2))
 
 
 def test_min_distance_check_rejects_duplicates():
@@ -310,6 +314,20 @@ def test_entropy_binom_check():
     assert mid.entropy_exponent == pytest.approx(10.0)
     with pytest.raises(DomainError):
         entropy_binom_check(10, 11)
+
+
+def test_entropy_binom_check_refuses_a_binomial_past_its_bit_cap_within_a_second():
+    # the entropy exponent bounds log2 C(n, delta) above, so it refuses before
+    # math.comb: C(10^9, 5*10^8) alone would take minutes.  An n past the
+    # doubles has no exponent and is refused too
+    start = time.perf_counter()
+    for n, delta in ((10**9, 5 * 10**8), (10**9, 10**9 - 10**5), (10**400, 10**399), (10**400, 0)):
+        with pytest.raises(SpaceTooLarge):
+            entropy_binom_check(n, delta)
+    assert time.perf_counter() - start < 1.0
+    # far from half, a huge n stays under the cap and answers
+    assert entropy_binom_check(10**9, 10**9 - 1000).holds
+    assert entropy_binom_check(2 * bounds.ENTROPY_BITS_CAP, 0).binomial == 1
 
 
 def test_block_lower_bound_values():

@@ -281,9 +281,12 @@ def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
     ("bounds", "gv-code", "--m", "3", "--n", "14", "--delta", "2", "--cap", "20000000"),
     ("bounds", "entropy-check", "--n", "1000000000", "--delta", "500000000"),
     ("bounds", "entropy-check", "--n", "1000000000", "--delta", "999999000"),
+    ("recip-series", "--m", "2", "--k", "1000"),
+    ("recip-series", "--m", "1000000000", "--k", "2"),
 ])
 def test_bounds_past_their_ceilings_exit_4_within_a_second(run_cli, capsys, argv):
-    # a huge --cap meets the sieve's ceiling; C(10^9, 5*10^8) is refused before math.comb builds it
+    # a huge --cap meets the sieve's ceiling; C(10^9, 5*10^8) is refused before math.comb builds it,
+    # and the reciprocal series before its K^2 Fraction convolution or (m+1+K)! at m = 10^9
     start = time.perf_counter()
     code, out = run_cli(*argv)
     assert time.perf_counter() - start < 1.0

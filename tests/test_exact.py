@@ -20,9 +20,6 @@ from cis import (
     l1_series,
     multiset_count,
     p_value,
-    phi_apply,
-    phi_inverse,
-    q_poly,
     weak_compositions,
 )
 from cis import exact
@@ -37,19 +34,35 @@ def _times(a, b):
     return tuple(out)
 
 
+def _q_poly(m):
+    """Coefficients of q_m(x) = -m! sum_{j=1..m} x^j/(m-j)!, constant term first: the gf engine's
+    polynomial, whose n-th power through Phi at -1 is Pr[l1 = n over S_{m,n}]."""
+    return (0, *(-math.factorial(m) // math.factorial(m - j) for j in range(1, m + 1)))
+
+
+def _phi_apply(coeffs):
+    """Phi, the linear map x^k -> x^k / k!, on coefficients, constant term first."""
+    return tuple(Fraction(c) / math.factorial(k) for k, c in enumerate(coeffs))
+
+
+def _phi_inverse(coeffs):
+    """The inverse of Phi: x^k -> k! x^k."""
+    return tuple(Fraction(c) * math.factorial(k) for k, c in enumerate(coeffs))
+
+
 def test_q_poly_frozen_coefficients():
     # q_m(x) = -m! sum_{j=1..m} x^j/(m-j)!
-    assert q_poly(1) == (0, -1)
-    assert q_poly(2) == (0, -2, -2)
-    assert q_poly(3) == (0, -3, -6, -6)
-    assert all(type(c) is int for c in q_poly(5))
+    assert _q_poly(1) == (0, -1)
+    assert _q_poly(2) == (0, -2, -2)
+    assert _q_poly(3) == (0, -3, -6, -6)
+    assert all(type(c) is int for c in _q_poly(5))
 
 
 def test_phi_worked_example():
     # q_2^2 = 4x^2 + 8x^3 + 4x^4; after x^k -> x^k/k! the value at -1 is 5/6
-    square = _times(q_poly(2), q_poly(2))
+    square = _times(_q_poly(2), _q_poly(2))
     assert square == (0, 0, 4, 8, 4)
-    transformed = phi_apply(square)
+    transformed = _phi_apply(square)
     assert transformed == (0, 0, 2, Fraction(4, 3), Fraction(1, 6))
     assert sum(c * (-1) ** k for k, c in enumerate(transformed)) == Fraction(5, 6)
     assert p_value(2, 2) == Fraction(5, 6)
@@ -58,7 +71,7 @@ def test_phi_worked_example():
 @given(st.lists(st.fractions(max_denominator=50), min_size=0, max_size=8))
 def test_phi_round_trip(coeffs):
     p = tuple(coeffs)
-    assert phi_inverse(phi_apply(p)) == p
+    assert _phi_inverse(_phi_apply(p)) == p
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -66,7 +79,7 @@ def test_gf_powers_match_plain_convolution(m):
     # q_m^n = (-m x)^n u_m^n, so u_m^n is q_m^n shifted down by n and divided by (-m)^n
     qpow = (1,)
     for n, p in exact._gf_powers(m):
-        qpow = _times(qpow, q_poly(m))
+        qpow = _times(qpow, _q_poly(m))
         scale = (-m) ** n
         assert qpow[:n] == (0,) * n
         assert [c // scale for c in qpow[n:]] == p

@@ -119,21 +119,6 @@ def test_l1_table_leaves_a_refused_closed_form_empty(capsys, tmp_path, monkeypat
     assert rows[1]["series"] == full_rows[1]["series"]
 
 
-def test_moment_probe_prints_and_writes_each_moment(capsys, tmp_path):
-    moment_probe = _load("moment_probe")
-    out = tmp_path / "moments.csv"
-    moment_probe.main(["--m", "1", "2", "--n", "20", "--r-max", "3", "--trials", "50", "--csv", str(out)])
-    lines = capsys.readouterr().out.splitlines()
-    # a header, then per m two central moments (r = 2, 3) and three raw ones
-    assert lines[0].split() == ["m", "kind", "r", "estimate", "target", "ratio", "se"]
-    assert len(lines) == 1 + 2 * 5 + 1 and lines[-1] == f"wrote 10 rows to {out}"
-    with open(out, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["m"], r["kind"], r["r"]) for r in rows[:5]] == [
-        ("1", "central", "2"), ("1", "central", "3"), ("1", "raw", "1"), ("1", "raw", "2"), ("1", "raw", "3")]
-    assert all(float(r["target"]) > 0 for r in rows)
-
-
 def test_startup_prints_one_line_per_command(capsys):
     startup = _load("startup")
     startup.main(["--launches", "1", "--commands", "l1-exact-warm", "mc-l1"])

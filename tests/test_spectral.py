@@ -24,9 +24,6 @@ from cis import (
     l1_series,
     power_sum_check,
     reciprocal_series,
-    root_partition_diagnostic,
-    truncated_exp,
-    zemyan_targets,
 )
 from cis import spectral
 
@@ -38,15 +35,11 @@ def _mp_roots(rs):
         return [mpmath.mpc(mpmath.mpf((x, -p)), mpmath.mpf((y, -p))) for x, y in rs.points]
 
 
-def test_truncated_exp_coefficients():
-    assert truncated_exp(3) == (1, 1, Fraction(1, 2), Fraction(1, 6))
-    assert all(type(c) is Fraction for c in truncated_exp(3))
-
-
 @pytest.mark.parametrize("m", range(1, 21))
 def test_power_sum_table_matches_newton(m):
     # the padded table (-1; 0...; 1/m!; -1/m!) through t = m+2, exactly
-    assert zemyan_targets(m) == inverse_power_sums_exact(m, m + 2)
+    table = [-1, *[0] * (m - 1), Fraction(1, math.factorial(m)), Fraction(-1, math.factorial(m))]
+    assert inverse_power_sums_exact(m, m + 2) == table
 
 
 def test_roots_small_m_known_values():
@@ -129,17 +122,13 @@ def test_reciprocal_series_leading_terms():
         assert series.within_envelope
 
 
-def test_partition_diagnostic():
-    for m in (1, 2, 8, 16, 20):
-        rep = root_partition_diagnostic(find_roots(m))
-        assert rep.n_small + rep.n_large == m
-        assert rep.tail_ok  # the tail cap holds unconditionally
-        assert rep.tail_sum <= rep.tail_bound
-    # asymptotic modulus inequalities do hold by m = 20
-    rep20 = root_partition_diagnostic(find_roots(20))
-    assert rep20.large_modulus_ok and rep20.small_modulus_ok and rep20.small_below_half
-    with pytest.raises(DomainError):
-        root_partition_diagnostic(find_roots(3), gamma_minus=0.3, gamma=0.2, gamma_plus=0.1)
+def test_reciprocal_series_refuses_past_each_cap_and_answers_on_it():
+    with pytest.raises(SpaceTooLarge):
+        reciprocal_series(spectral.RECIP_MAX_M + 1, 0)
+    with pytest.raises(SpaceTooLarge):
+        reciprocal_series(1, spectral.RECIP_MAX_K + 1)
+    assert len(reciprocal_series(spectral.RECIP_MAX_M, 1).coefficients) == 2
+    assert len(reciprocal_series(1, spectral.RECIP_MAX_K).coefficients) == spectral.RECIP_MAX_K + 1
 
 
 def test_domain_validation():
@@ -148,7 +137,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         reciprocal_series(0, 3)
     with pytest.raises(DomainError):
-        zemyan_targets(0)
+        inverse_power_sums_exact(0, 3)
 
 
 @functools.cache

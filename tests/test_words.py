@@ -15,7 +15,6 @@ from cis import (
     AlphabetViolation,
     DomainError,
     MultiplicityViolation,
-    RandomSource,
     SpaceTooLarge,
     count_complete_bruteforce,
     enumerate_words,
@@ -24,7 +23,6 @@ from cis import (
     l_start,
     make_word,
     multiset_count,
-    sample_uniform,
 )
 from cis import bounds, cardgame, exact, montecarlo, words
 from cis.acceptance import _lmax_histogram
@@ -134,15 +132,6 @@ def test_identity_word_is_only_complete_permutation():
         assert count_complete_bruteforce(1, n) == 1
 
 
-def test_sampling_is_deterministic_per_source():
-    src = RandomSource(seed=42, stream=3)
-    a = sample_uniform(3, 4, src)
-    b = sample_uniform(3, 4, src)
-    assert a == b
-    c = sample_uniform(3, 4, RandomSource(seed=42, stream=4))
-    assert c != a or c.letters != a.letters  # different stream, fresh draw
-
-
 def _chi2_critical(df: int, alpha: float) -> float:
     """Upper critical value by bisection on the regularized gamma CDF."""
     lo, hi = 0.0, 10.0 * df + 100.0
@@ -157,11 +146,11 @@ def _chi2_critical(df: int, alpha: float) -> float:
 
 
 def test_sampler_uniformity_chi_square():
-    # all 6 words of S_{2,2}; reject at significance 1e-6
+    # all 6 words of S_{2,2}, drawn by the estimators' own sampler; reject at significance 1e-6
     m, n, draws = 2, 2, 30000
-    cells = Counter()
-    for i in range(draws):
-        cells[sample_uniform(m, n, RandomSource(seed=777, stream=i)).letters] += 1
+    words_drawn = montecarlo._collect(draws, 777, [montecarlo._base(m, n)],
+                                      lambda block: montecarlo._letters(block, m))
+    cells = Counter(map(tuple, words_drawn.tolist()))
     assert set(cells) == {w.letters for w in enumerate_words(m, n)}
     expected = draws / 6
     stat = sum((c - expected) ** 2 / expected for c in cells.values())
@@ -266,7 +255,6 @@ def test_letters_use_the_narrowest_unsigned_type(monkeypatch):
 _MN_FUNCTIONS = {
     "make_word": lambda m, n: make_word([1], m, n),
     "multiset_count": multiset_count,
-    "sample_uniform": lambda m, n: sample_uniform(m, n, RandomSource(1)),
     "horton_kurn_h": exact.horton_kurn_h,
     "p_value": exact.p_value,
     "l1_finite_expectation": exact.l1_finite_expectation,
