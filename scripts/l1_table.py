@@ -2,21 +2,19 @@
 
 For each m the table lists the series value, the closed form over the
 zeros of the truncated exponential, the two-term approximation, and the
-spreads between them.  Optionally appends a Monte Carlo column and
-writes the table as CSV.  A route that refuses an m leaves its cells
-empty (printed as "-"): the series past exact.SERIES_DEGREE_CAP (m > 60),
-the closed form past its cost caps (m > spectral.L1_MAX_M = 500).
+spreads between them, and optionally writes the table as CSV.  A route
+that refuses an m leaves its cells empty (printed as "-"): the series
+past exact.SERIES_DEGREE_CAP (m > 60), the closed form past its cost caps
+(m > spectral.L1_MAX_M = 500).
 
-Usage: python3 scripts/l1_table.py --m-max 10 [--mc-trials 200000] [--csv out.csv]
+Usage: python3 scripts/l1_table.py --m-max 10 [--csv out.csv]
 """
 
 import argparse
 import csv
 import sys
 
-from cis import SpaceTooLarge, approx_l1, estimate_l1, l1_closed_form, l1_series
-
-MC_N = 60  # values per word in the Monte Carlo column; tail beyond this is negligible
+from cis import SpaceTooLarge, approx_l1, l1_closed_form, l1_series
 
 
 def _refusable(route, m, refusal):
@@ -35,7 +33,7 @@ def _text(x, spec):
     return "-" if x is None else format(x, spec)
 
 
-def build_rows(m_max, mc_trials, seed):
+def build_rows(m_max):
     rows = []
     for m in range(1, m_max + 1):
         series = _refusable(l1_series, m, SpaceTooLarge)
@@ -52,30 +50,22 @@ def build_rows(m_max, mc_trials, seed):
             "closed_minus_approx": _diff(closed_value, approx),
             "terms_used": None if series is None else series.terms_used,
         }
-        if mc_trials:
-            est = estimate_l1(m, MC_N, mc_trials, seed + m)
-            row["mc_mean"] = est.mean
-            row["mc_se"] = est.std_error
         rows.append(row)
         print(f"m={m:2d}  series={_text(series_value, '.12f')}  closed={_text(closed_value, '.12f')}  "
               f"approx={approx:.12f}  s-c={_text(row['series_minus_closed'], '+.2e')}  "
-              f"c-a={_text(row['closed_minus_approx'], '+.2e')}"
-              + (f"  mc={row['mc_mean']:.5f}+-{row['mc_se']:.5f}" if mc_trials else ""))
+              f"c-a={_text(row['closed_minus_approx'], '+.2e')}")
     return rows
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--m-max", type=int, default=10)
-    ap.add_argument("--mc-trials", type=int, default=0,
-                    help="add a Monte Carlo column with this many trials (0 disables)")
-    ap.add_argument("--seed", type=int, default=20260822)
     ap.add_argument("--csv", metavar="FILE", help="also write the table to FILE")
     args = ap.parse_args(argv)
     if args.m_max < 1:
         sys.exit("--m-max must be at least 1")
 
-    rows = build_rows(args.m_max, args.mc_trials, args.seed)
+    rows = build_rows(args.m_max)
 
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:

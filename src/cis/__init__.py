@@ -15,7 +15,7 @@ no module imports mpmath, which only the tests use as a reference.
 
 import importlib
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 # module -> the names it exports, in the order of __all__
 _EXPORTS = {

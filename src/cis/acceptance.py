@@ -274,10 +274,9 @@ def _gv_instances(cap: int) -> list[tuple[int, int, int]]:
 
 @_criterion(7, "Gilbert-Varshamov codes", budget=120.0)
 def _c7(level):
-    cap = 10**5 if level == "full" else 10**3
-    instances = _gv_instances(cap)
+    instances = _gv_instances(10**5 if level == "full" else 10**3)
     for m, n, delta in instances:
-        code = bounds.greedy_code(m, n, delta, cap=cap)
+        code = bounds.greedy_code(m, n, delta)
         if Fraction(code.size) < bounds.gv_size_bound(m, n, delta):
             return False, f"greedy code size {code.size} misses GV at (m={m}, n={n}, delta={delta})"
         if not _min_distance_ok(code, m, n, delta):

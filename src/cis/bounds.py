@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 from .errors import DomainError, SpaceTooLarge
@@ -34,11 +34,9 @@ _ONE = Fraction(1)
 # largest k for which factorial_threshold and completion_lower compute k!; at
 # 10^5 a factorial_threshold call takes about a second
 FACTORIAL_K_CAP = 10**5
-# largest m^n that greedy_code sieves, whatever its cap.  On one core the
-# slowest generic-sieve input under it, (3, 13, 2), takes about 5 s, and the
-# slowest of all, (2, 22, 11) with its 2.4-million-row ball table, about 7 s
-# in 0.75 GB; (3, 14, 2), just past it, takes 10 s
-GREEDY_SPACE_CAP = 2**22
+# largest m^n that greedy_code sieves.  On one core the slowest input under
+# it, (3, 12, 2), takes about 2 s in 82 MB; (2, 19, 2) takes the most, 177 MB
+GREEDY_SPACE_CAP = 10**6
 # most bits, by the entropy exponent that bounds log2 C(n, delta) above,
 # of a binomial entropy_binom_check builds: C(2^17, 2^16) takes about 0.3 s
 ENTROPY_BITS_CAP = 2**17
@@ -103,23 +101,18 @@ def gv_size_bound(m: int, n: int, delta: int) -> Fraction:
     return Fraction(m**n, delta * math.comb(n, delta) * (m - 1) ** delta)
 
 
-def _ball_shifts(m: int, n: int, radius: int) -> np.ndarray:
-    """Digit shifts of the punctured radius-`radius` Hamming ball, one row per neighbour.
+def _digit_weights(m: int, n: int) -> np.ndarray:
+    """Number of nonzero base-m digits of every index in [0, m^n), as uint8.
 
-    Row entries are in [0, m); a word's neighbour is (digits + row) mod m.
-    Every set of 1..radius positions gets every non-zero shift on each.
+    Built one digit at a time, n numpy steps; index i's weight is its
+    Hamming distance from index 0, the word of all first letters.
     """
     import numpy as np
 
-    rows = []
-    for dist in range(1, radius + 1):
-        for pos in combinations(range(n), dist):
-            for shift in product(range(1, m), repeat=dist):
-                row = [0] * n
-                for j, e in zip(pos, shift):
-                    row[j] = e
-                rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    w = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        w = (w[:, None] + (np.arange(m) > 0)).ravel()
+    return w
 
 
 def _place(m: int, n: int) -> np.ndarray:
@@ -134,12 +127,15 @@ def _ball_sieve(m: int, n: int, delta: int) -> np.ndarray:
 
     Each admission kills its radius-(delta - 1) ball through a shift table
     built once, and the next survivor is found by a C-level search of the
-    dead mask.  Serves every m, and is the reference for _xor_sieve.
+    dead mask.  The table's rows are the digits of the indices at distance
+    1..delta-1 from index 0; a word's neighbour is (digits + row) mod m.
+    Serves every m, and is the reference for _xor_sieve.
     """
     import numpy as np
 
     place = _place(m, n)
-    shifts = _ball_shifts(m, n, delta - 1)
+    w = _digit_weights(m, n)
+    shifts = np.flatnonzero((w > 0) & (w < delta))[:, None] // place % m
     dead = bytearray(m**n)
     dead_view = np.frombuffer(dead, dtype=np.uint8)
     admitted = []
@@ -169,8 +165,7 @@ def _xor_sieve(m: int, n: int, delta: int) -> np.ndarray:
     bits = space.bit_length() - 1
     dead = bytearray(space)
     dead_view = np.frombuffer(dead, dtype=np.uint8)
-    dead_view[_ball_shifts(m, n, delta - 1) @ _place(m, n)] = 1
-    dead_view[0] = 1
+    dead_view[:] = _digit_weights(m, n) < delta
     cube = dead_view.reshape((2,) * bits)  # axis j holds index bit bits - 1 - j
     code = [0]
     g = dead.find(0)
@@ -184,7 +179,7 @@ def _xor_sieve(m: int, n: int, delta: int) -> np.ndarray:
     return np.array(code, dtype=np.int64)
 
 
-def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
+def greedy_code(m: int, n: int, delta: int) -> CodeBook:
     """Maximal packing with minimum distance delta, in lexicographic order.
 
     Admits a word iff it is at distance >= delta from everything admitted
@@ -198,20 +193,16 @@ def greedy_code(m: int, n: int, delta: int, cap: int = 10**6) -> CodeBook:
     generators.  Every other m takes _ball_sieve, one ball scatter per
     admitted word, which stays the reference that the tests compare the
     XOR sieve with.  The size always meets gv_size_bound when delta <= n/2.
-    Raises SpaceTooLarge when m^n exceeds cap or GREEDY_SPACE_CAP.
+    Raises SpaceTooLarge when m^n exceeds GREEDY_SPACE_CAP.
     """
     if m < 2:
         raise DomainError(f"need m >= 2, got m={m}")
     if not 1 <= delta or 2 * delta > n:
         raise DomainError(f"need 1 <= delta <= n/2, got delta={delta}, n={n}")
-    # m >= 2, so m^b > limit for b = limit.bit_length(): the power is exact
-    # up to n = b, and past it the first b factors already exceed the limit
-    limit = min(cap, GREEDY_SPACE_CAP)
-    space = m ** min(n, limit.bit_length())
-    if space > cap:
-        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds cap {cap}")
-    if space > GREEDY_SPACE_CAP:
-        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds the ceiling {GREEDY_SPACE_CAP} on any cap")
+    # m >= 2, so m^b > GREEDY_SPACE_CAP for b = its bit length: the power is
+    # exact up to n = b, and past it the first b factors already exceed the cap
+    if m ** min(n, GREEDY_SPACE_CAP.bit_length()) > GREEDY_SPACE_CAP:
+        raise SpaceTooLarge(f"m^n = {m}^{n} exceeds the cap {GREEDY_SPACE_CAP}")
 
     if delta == 1:
         # distinct words always differ somewhere; the whole space packs
@@ -435,7 +426,8 @@ def entropy_binom_check(n: int, delta: int) -> EntropyCheck:
     if p in (0.0, 1.0):
         h = 0.0
     else:
-        h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+        # log1p keeps the second term where 1 - p rounds to 1.0 (p below about 1e-16)
+        h = -p * math.log2(p) - (1 - p) * math.log1p(-p) / math.log(2)
     exponent = h * n if n <= sys.float_info.max else math.inf  # an n past the doubles is refused too
     if exponent > ENTROPY_BITS_CAP:
         raise SpaceTooLarge(f"the binomial C({n}, {delta}) has up to {exponent:.0f} bits, "

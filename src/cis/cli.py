@@ -128,8 +128,8 @@ def _recip_series(m, k):
         "envelope": [float(e) for e in rs.envelope]}
 
 
-def _gv_code(m, n, delta, cap):
-    size, gv = cis.bounds.greedy_code(m, n, delta, cap=cap).size, cis.bounds.gv_size_bound(m, n, delta)
+def _gv_code(m, n, delta):
+    size, gv = cis.bounds.greedy_code(m, n, delta).size, cis.bounds.gv_size_bound(m, n, delta)
     return size, None, {"gv_bound": str(gv), "gv_bound_float": float(gv),
                         "meets_gv": size >= gv, "min_distance": delta}
 
@@ -182,9 +182,9 @@ _GROUPS = {"bounds": ("combinatorial bounds", "BOUND"), "mc": ("seeded Monte Car
 
 COMMANDS = (
     Command(("l1-exact",), "series value of the limiting expected run length",
-            (_M, _arg("--eps", float, default=1e-12), _arg("--max-n", default=400)),
-            lambda m, eps, max_n: _fields(cis.exact.l1_series(m, eps=eps, max_n=max_n),
-                                          "value", "terms_used", "truncation_bound", engine="gf"), True),
+            (_M, _arg("--eps", float, default=1e-12)),
+            lambda m, eps: _fields(cis.exact.l1_series(m, eps=eps),
+                                   "value", "terms_used", "truncation_bound", engine="gf"), True),
     Command(("l1-closed",), "closed form over zeros of the truncated exponential", (_M, _BITS),
             lambda m, bits: _fields(cis.spectral.l1_closed_form(m, precision_bits=bits),
                                     "value", "imag_residue", "value_str", bits=bits), True),
@@ -211,8 +211,7 @@ COMMANDS = (
             (_M, _N, _arg("--k", help="block length")),
             lambda m, n, k: (cis.bounds.block_lower_bound(m, n, k), None, {"blocks": n // k}), False),
     Command(("bounds", "gv-code"), "greedy code meeting the Gilbert-Varshamov size",
-            (_M, _N, _DELTA, _arg("--cap", default=10**6, help="largest m^n the sieve will touch")),
-            _gv_code, True),
+            (_M, _N, _DELTA), _gv_code, True),
     Command(("bounds", "completion-lower"), "inclusion-exclusion floor from a distance-delta code",
             (_M, _N, _arg("--t-size", help="code size"), _DELTA),
             lambda m, n, t_size, delta: _fraction(cis.bounds.completion_lower(m, n, t_size, delta)), False),

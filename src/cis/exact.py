@@ -66,6 +66,9 @@ GF_DEGREE_CAP = 4000
 # highest degree n(m-1) of u_m^n that l1_series builds; m = 60 stops at
 # n = 183, degree 10,797
 SERIES_DEGREE_CAP = 11_000
+# most terms l1_series takes; only a tiny eps needs that many: at eps = 5e-324,
+# m = 20 stops at n = 375 in about 9 s, and m = 28 raises NoConvergence in 24 s
+SERIES_MAX_N = 400
 
 
 def weak_compositions(n: int, m: int) -> Iterator[WeakComposition]:
@@ -211,13 +214,13 @@ def p_value(m: int, n: int) -> Fraction:
             return Fraction(_phi_numerator(m, n, p), factorial(m * n))
 
 
-def complete_prob(m: int, n: int, engine: str = "hk") -> Fraction:
+def complete_prob(m: int, n: int, engine: str = "gf") -> Fraction:
     """Pr[l1(w) = n] for uniform w in S_{m,n}, as an exact rational.
 
-    engine selects the computational route: "hk" (composition formula),
-    "gf" (generating functions) or "brute" (exhaustive enumeration, small
-    spaces only).  All three return identical Fractions on their common
-    domain.
+    engine selects the computational route: "gf" (generating functions,
+    the default), "hk" (composition formula) or "brute" (exhaustive
+    enumeration, small spaces only).  All three return identical
+    Fractions on their common domain.
     """
     if engine == "hk":
         return Fraction(horton_kurn_h(m, n), multiset_count(m, n))
@@ -240,31 +243,31 @@ class SeriesResult:
     eps: float
 
 
-def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
+def l1_series(m: int, eps: float = 1e-12) -> SeriesResult:
     """Partial sum of sum_{n>=1} Pr[l1 = n over S_{m,n}] with a stopping rule.
 
     Stops at the first n >= 3m+3 whose term is below eps.  The terms never
     increase: the n-th is Pr[l1 >= n] over any longer word space, and
-    those events are nested.  Raises NoConvergence when max_n is reached
-    first.
+    those events are nested.  Raises NoConvergence when SERIES_MAX_N terms
+    are taken first.
 
     The terms come from the generating-function engine: it keeps a running
     power of u_m and costs one pass over its coefficients per term, where
     the composition formula would re-enumerate weak compositions for every
-    n.  Every comparison is made in integers over (mn)!.  max_n bounds the work, and
-    so does SERIES_DEGREE_CAP on the degree n(m-1) of the last term:
-    SpaceTooLarge is raised at once when the stopping rule's first index
-    3m+3 is past it, and after the last term within it otherwise.
+    n.  Every comparison is made in integers over (mn)!.  SERIES_MAX_N bounds
+    the work, and so does SERIES_DEGREE_CAP on the degree n(m-1) of the last
+    term: SpaceTooLarge is raised at once when the stopping rule's first
+    index 3m+3 is past it, and after the last term within it otherwise.
     """
     if not 0 < eps < math.inf:
         raise DomainError(f"need a finite eps > 0, got {eps}")
     if m < 1:
         raise DomainError(f"need m >= 1, got m={m}")
-    top = max_n if m == 1 else min(max_n, SERIES_DEGREE_CAP // (m - 1))
+    top = SERIES_MAX_N if m == 1 else min(SERIES_MAX_N, SERIES_DEGREE_CAP // (m - 1))
     capped = SpaceTooLarge(
         f"the series for m={m} cannot meet its stopping rule within degree n(m-1) <= {SERIES_DEGREE_CAP}"
     )
-    if top < max_n and top < 3 * m + 3:
+    if top < SERIES_MAX_N and top < 3 * m + 3:
         raise capped
     eps_num, eps_den = eps.as_integer_ratio()
     for _, (n, t, s, f) in zip(range(top), _partial_sums(m)):
@@ -277,11 +280,9 @@ def l1_series(m: int, eps: float = 1e-12, max_n: int = 400) -> SeriesResult:
                 truncation_bound=t / f,
                 eps=eps,
             )
-    if top < max_n:
+    if top < SERIES_MAX_N:
         raise capped
-    raise NoConvergence(
-        f"series for m={m} did not meet the stopping rule within {max_n} terms"
-    )
+    raise NoConvergence(f"series for m={m} did not meet the stopping rule within {SERIES_MAX_N} terms")
 
 
 def approx_l1(m: int) -> float:

@@ -33,6 +33,10 @@ from typing import Iterable, Iterator
 from .errors import AlphabetViolation, DomainError, MultiplicityViolation, SpaceTooLarge
 
 _MAX_LETTER = 2**31 - 1  # letters are kept within 32-bit range
+ENUMERATION_CAP = 10**7  # most words enumerated; S_{2,6}, 7,484,400 words, is the largest space under it
+# most letters per enumerated word; it binds at n = 1, where the scans take a Python step
+# per letter of the one word: (10^4, 1) takes about 0.03 s, (10^5, 1) about 0.7 s
+ENUMERATION_LENGTH_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,8 @@ def _arrangements(counts: tuple[int, ...], tables: dict, dtype):
 def _word_blocks(m: int, n: int):
     """S_{m,n} as 2-D letter blocks whose rows, read in order, are lexicographic.
 
+    Raises SpaceTooLarge, before it allocates, when |S_{m,n}| exceeds
+    ENUMERATION_CAP or m*n exceeds ENUMERATION_LENGTH_CAP.
     A depth-first walk places letters one at a time, smallest first, until
     the remaining multiset has at most _BLOCK_ROWS arrangements; the block
     is then the placed prefix followed by each of those arrangements.  The
@@ -176,6 +182,12 @@ def _word_blocks(m: int, n: int):
     column-major order: the scans that read them go one letter position at
     a time across all rows.
     """
+    _check_mn(m, n)
+    if m * n > ENUMERATION_LENGTH_CAP:
+        raise SpaceTooLarge(f"words of S_({m},{n}) have {m * n} letters, more than {ENUMERATION_LENGTH_CAP}")
+    # |S_{m,n}| = prod_{k=2..n} C(km, m) >= 2^(m(n-1)): past the cap's bits without taking (mn)!
+    if m * (n - 1) >= ENUMERATION_CAP.bit_length() or (total := multiset_count(m, n)) > ENUMERATION_CAP:
+        raise SpaceTooLarge(f"|S_({m},{n})| exceeds cap {ENUMERATION_CAP}")
     import numpy as np
 
     dtype = np.min_scalar_type(n)
@@ -183,7 +195,7 @@ def _word_blocks(m: int, n: int):
     tables = {}
     counts = [0] + [m] * n  # copies of each letter not yet placed
     prefix = []
-    arrangements = [multiset_count(m, n)]  # of the remaining multiset, one per depth
+    arrangements = [total]  # of the remaining multiset, one per depth
     next_letter = [1]  # the next letter to try, one per depth
     while True:
         depth = len(prefix)
@@ -214,32 +226,26 @@ def _word_blocks(m: int, n: int):
         next_letter.append(1)
 
 
-def enumerate_words(m: int, n: int, cap: int = 10**7) -> Iterator[Word]:
+def enumerate_words(m: int, n: int) -> Iterator[Word]:
     """Yield every word of S_{m,n} in lexicographic order.
 
-    Raises SpaceTooLarge when |S_{m,n}| exceeds cap (default 1e7), before
-    anything is allocated; the cap guards against accidentally unbounded
-    loops, not memory (the iterator holds one block of at most _BLOCK_ROWS
-    words, plus the tables it is built from).
+    Raises SpaceTooLarge past ENUMERATION_CAP or ENUMERATION_LENGTH_CAP,
+    before anything is allocated; the caps guard against unbounded loops,
+    not memory (the iterator holds one block of at most _BLOCK_ROWS words,
+    plus the tables it is built from).
     """
-    total = multiset_count(m, n)
-    if total > cap:
-        raise SpaceTooLarge(f"|S_({m},{n})| = {total} exceeds cap {cap}")
     for block in _word_blocks(m, n):
         for letters in block.tolist():
             yield Word(tuple(letters), m, n)
 
 
-def count_complete_bruteforce(m: int, n: int, cap: int = 10**7) -> int:
+def count_complete_bruteforce(m: int, n: int) -> int:
     """Number of words of S_{m,n} containing 1, 2, ..., n as a subsequence.
 
     Exhaustive count used as the ground-truth oracle for the closed-form
-    count; same cap semantics as enumerate_words.  The greedy scan for l1
+    count, under the caps of enumerate_words.  The greedy scan for l1
     runs one letter position at a time across all rows of a block.
     """
-    total = multiset_count(m, n)
-    if total > cap:
-        raise SpaceTooLarge(f"|S_({m},{n})| = {total} exceeds cap {cap}")
     import numpy as np
 
     hits = 0

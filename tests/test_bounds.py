@@ -17,6 +17,7 @@ from cis import (
     SpaceTooLarge,
     arithmetic_progressions,
     block_lower_bound,
+    complete_prob,
     completion_lower,
     continuous_runs,
     entropy_binom_check,
@@ -179,27 +180,25 @@ def test_greedy_code_validation():
         greedy_code(2, 4, 3)  # delta > n/2
     with pytest.raises(SpaceTooLarge):
         greedy_code(3, 20, 2)
-    # m^n is compared with the cap exactly, at and either side of it
-    assert greedy_code(2, 6, 2, cap=64).size == 32
-    with pytest.raises(SpaceTooLarge, match=r"2\^6 exceeds cap 63"):
-        greedy_code(2, 6, 2, cap=63)
-    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds cap 64"):
-        greedy_code(2, 7, 2, cap=64)
     # 100000^(10^9) would take minutes to build
-    with pytest.raises(SpaceTooLarge, match=r"100000\^1000000000 exceeds cap 1000"):
-        greedy_code(10**5, 10**9, 1, cap=1000)
+    with pytest.raises(SpaceTooLarge, match=r"100000\^1000000000 exceeds the cap 1000000"):
+        greedy_code(10**5, 10**9, 1)
 
 
-def test_greedy_code_refuses_a_space_past_the_ceiling_whatever_the_cap(monkeypatch):
-    with pytest.raises(SpaceTooLarge, match=r"2\^40 exceeds the ceiling 4194304"):
-        greedy_code(2, 40, 2, cap=10**13)
+def test_greedy_code_refuses_a_space_past_its_cap(monkeypatch):
+    assert bounds.GREEDY_SPACE_CAP == 10**6
+    assert greedy_code(2, 19, 9).size >= 1  # 2^19 = 524,288
+    for m, n in ((2, 20), (3, 13), (2, 40), (1000, 4)):
+        with pytest.raises(SpaceTooLarge, match=rf"{m}\^{n} exceeds the cap 1000000"):
+            greedy_code(m, n, 2)
+    # m^n is compared with the cap exactly, at and either side of it
     monkeypatch.setattr(bounds, "GREEDY_SPACE_CAP", 64)
-    assert greedy_code(2, 6, 2, cap=10**13).size == 32
-    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds the ceiling 64"):
-        greedy_code(2, 7, 2, cap=10**13)
-    # a cap below the ceiling is still the one that refuses
-    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds cap 100"):
-        greedy_code(2, 7, 2, cap=100)
+    assert greedy_code(2, 6, 2).size == 32
+    with pytest.raises(SpaceTooLarge, match=r"2\^7 exceeds the cap 64"):
+        greedy_code(2, 7, 2)
+    monkeypatch.setattr(bounds, "GREEDY_SPACE_CAP", 63)
+    with pytest.raises(SpaceTooLarge, match=r"2\^6 exceeds the cap 63"):
+        greedy_code(2, 6, 2)
 
 
 def test_inverse_gamma_round_trip():
@@ -314,6 +313,9 @@ def test_entropy_binom_check():
     assert mid.entropy_exponent == pytest.approx(10.0)
     with pytest.raises(DomainError):
         entropy_binom_check(10, 11)
+    # at p = 1e-17, 1 - p rounds to 1.0; log1p keeps the term -(1-p) log2(1-p), about delta/ln 2 bits
+    far = entropy_binom_check(10**20, 1000)
+    assert far.holds and math.log2(far.binomial) < far.entropy_exponent < math.log2(far.binomial) + 10
 
 
 def test_entropy_binom_check_refuses_a_binomial_past_its_bit_cap_within_a_second():
@@ -336,6 +338,8 @@ def test_block_lower_bound_values():
     assert v == pytest.approx(1 - (1 / 6) ** 5, rel=1e-12)
     assert block_lower_bound(3, 7, 1) == 1.0
     assert block_lower_bound(2, 12, 2) >= block_lower_bound(2, 10, 2)
+    # past the composition engine's cap, the default gf engine answers
+    assert block_lower_bound(8, 100, 30) == pytest.approx(3 * float(complete_prob(8, 30)), rel=1e-6)
     with pytest.raises(DomainError):
         block_lower_bound(2, 5, 6)
 

@@ -126,9 +126,20 @@ def test_bad_pattern_exits_2(run_cli):
     assert code == 2
 
 
-def test_no_convergence_exits_3(run_cli):
-    code, _ = run_cli("l1-exact", "--m", "2", "--max-n", "5")
+def test_no_convergence_exits_3(run_cli, monkeypatch):
+    monkeypatch.setattr(exact, "SERIES_MAX_N", 5)
+    code, _ = run_cli("l1-exact", "--m", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "gv-code", "--m", "2", "--n", "6", "--delta", "2", "--cap", "100"),
+    ("l1-exact", "--m", "2", "--max-n", "100"),
+])
+def test_resource_caps_are_not_options(run_cli, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
 
 
 def test_space_too_large_exits_4(run_cli):
@@ -268,8 +279,7 @@ def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
     code, out = run_cli("bounds", "tail", "--family", "continuous", "--n", "2", "--m", "2",
                         "--k", "1000000000")
     assert (code, json.loads(out)["value"]) == (0, "0")
-    code, out = run_cli("bounds", "gv-code", "--m", "100000", "--n", "1000000000", "--delta", "1",
-                        "--cap", "1000")
+    code, out = run_cli("bounds", "gv-code", "--m", "100000", "--n", "1000000000", "--delta", "1")
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert (code, out) == (4, "")
@@ -277,16 +287,18 @@ def test_bounds_past_the_word_length_answer_within_a_second(run_cli, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("bounds", "gv-code", "--m", "2", "--n", "40", "--delta", "2", "--cap", "10000000000000"),
-    ("bounds", "gv-code", "--m", "3", "--n", "14", "--delta", "2", "--cap", "20000000"),
+    ("bounds", "gv-code", "--m", "2", "--n", "40", "--delta", "2"),
+    ("bounds", "gv-code", "--m", "3", "--n", "14", "--delta", "2"),
     ("bounds", "entropy-check", "--n", "1000000000", "--delta", "500000000"),
     ("bounds", "entropy-check", "--n", "1000000000", "--delta", "999999000"),
     ("recip-series", "--m", "2", "--k", "1000"),
     ("recip-series", "--m", "1000000000", "--k", "2"),
+    ("prob-complete", "--m", "1000000000", "--n", "1", "--engine", "brute"),
+    ("prob-complete", "--m", "1000000", "--n", "2", "--engine", "brute"),
 ])
 def test_bounds_past_their_ceilings_exit_4_within_a_second(run_cli, capsys, argv):
-    # a huge --cap meets the sieve's ceiling; C(10^9, 5*10^8) is refused before math.comb builds it,
-    # and the reciprocal series before its K^2 Fraction convolution or (m+1+K)! at m = 10^9
+    # C(10^9, 5*10^8) is refused before math.comb builds it, the reciprocal series before its
+    # K^2 Fraction convolution or (m+1+K)! at m = 10^9, and enumeration before (mn)!
     start = time.perf_counter()
     code, out = run_cli(*argv)
     assert time.perf_counter() - start < 1.0

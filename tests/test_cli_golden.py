@@ -32,7 +32,7 @@ from cis import acceptance, cli
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 CASES = [
-    ["l1-exact", "--m", "2", "--eps", "1e-9", "--max-n", "100"],
+    ["l1-exact", "--m", "2", "--eps", "1e-9"],
     ["l1-closed", "--m", "3", "--bits", "64"],
     ["l1-approx", "--m", "2"],
     ["prob-complete", "--m", "2", "--n", "3", "--engine", "hk"],
@@ -46,7 +46,7 @@ CASES = [
     ["bounds", "expectation-upper", "--m", "2", "--cap", "100"],
     ["bounds", "block-lower", "--m", "2", "--n", "6", "--k", "3"],
     ["bounds", "gv-code", "--m", "2", "--n", "6", "--delta", "2"],
-    ["bounds", "gv-code", "--m", "3", "--n", "4", "--delta", "2", "--cap", "100"],
+    ["bounds", "gv-code", "--m", "3", "--n", "4", "--delta", "2"],
     ["bounds", "completion-lower", "--m", "2", "--n", "5", "--t-size", "3", "--delta", "2"],
     ["bounds", "factorial-threshold", "--m", "2", "--t", "10", "--c", "1.5"],
     ["bounds", "factorial-threshold", "--m", "2", "--t", "2048", "--c", "0.1"],

@@ -193,6 +193,10 @@ def test_horton_kurn_h_caps_its_compositions(monkeypatch):
         horton_kurn_h(20, 30)
     with pytest.raises(SpaceTooLarge):
         complete_prob(200, 200, engine="hk")
+    # (8, 30) sums over C(37, 7), about 10^7 compositions; the default gf engine answers
+    with pytest.raises(SpaceTooLarge):
+        complete_prob(8, 30, engine="hk")
+    assert complete_prob(8, 30) == p_value(8, 30)
     # the cap is checked on the count itself: h_3(3) sums over C(3 + 3 - 1, 2) = 10 compositions
     monkeypatch.setattr(exact, "COMPOSITION_CAP", 10)
     assert horton_kurn_h(3, 3) == count_complete_bruteforce(3, 3)
@@ -226,9 +230,10 @@ def test_series_caps_its_degree(monkeypatch):
     monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 2 * res.terms_used - 1)
     with pytest.raises(SpaceTooLarge):
         l1_series(3)
-    # a max_n within the cap still ends in NoConvergence
+    # a term limit within the cap still ends in NoConvergence
+    monkeypatch.setattr(exact, "SERIES_MAX_N", res.terms_used - 1)
     with pytest.raises(NoConvergence):
-        l1_series(3, max_n=res.terms_used - 1)
+        l1_series(3)
     # the stopping rule needs n >= 3m+3 = 12: a cap below degree 24 fails before any term
     monkeypatch.setattr(exact, "SERIES_DEGREE_CAP", 23)
     monkeypatch.setattr(exact, "_gf_powers", None)
@@ -266,9 +271,11 @@ def test_series_m2_value():
     assert abs(res.value - 2.7560492270947274) < 1e-11
 
 
-def test_series_raises_when_cut_short():
+def test_series_raises_when_cut_short(monkeypatch):
+    assert exact.SERIES_MAX_N == 400
+    monkeypatch.setattr(exact, "SERIES_MAX_N", 5)
     with pytest.raises(NoConvergence):
-        l1_series(2, eps=1e-12, max_n=5)
+        l1_series(2, eps=1e-12)
 
 
 def test_finite_expectation_small_case():

@@ -66,7 +66,7 @@ def test_root_stages_prints_one_line_of_stage_times(capsys):
 def test_l1_table_prints_and_writes_one_row_per_m(capsys, tmp_path):
     l1_table = _load("l1_table")
     out = tmp_path / "table.csv"
-    l1_table.main(["--m-max", "2", "--mc-trials", "20", "--seed", "5", "--csv", str(out)])
+    l1_table.main(["--m-max", "2", "--csv", str(out)])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and lines[0].startswith("m= 1") and lines[1].startswith("m= 2")
     assert lines[2] == f"wrote 2 rows to {out}"
@@ -75,7 +75,6 @@ def test_l1_table_prints_and_writes_one_row_per_m(capsys, tmp_path):
     assert [int(r["m"]) for r in rows] == [1, 2]
     # the series and the closed form are two routes to one value
     assert all(abs(float(r["series_minus_closed"])) < 1e-9 for r in rows)
-    assert all(float(r["mc_se"]) > 0 for r in rows)
 
 
 def _l1_table_rows(l1_table, capsys, tmp_path):

@@ -119,11 +119,24 @@ def test_enumeration_is_complete_and_ordered():
     assert tuples[0] == (1, 1, 2, 2, 3, 3)
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # S_{2,6} is the largest space under the cap; |S_{m,n}| >= 2^(m(n-1)) refuses m(n-1) >= 24 uncounted
+    assert multiset_count(2, 6) <= words.ENUMERATION_CAP < min(multiset_count(1, 11), multiset_count(13, 2))
+    assert all(multiset_count(m, n) >= 2 ** (m * (n - 1)) for m in range(1, 9) for n in range(1, 9))
+    for m, n in ((3, 8), (1, 25), (24, 2)):
+        with pytest.raises(SpaceTooLarge):
+            list(enumerate_words(m, n))
+        with pytest.raises(SpaceTooLarge):
+            count_complete_bruteforce(m, n)
+    # the word length binds at n = 1, where |S_{m,1}| = 1
+    length = words.ENUMERATION_LENGTH_CAP
+    assert count_complete_bruteforce(length, 1) == 1
     with pytest.raises(SpaceTooLarge):
-        list(enumerate_words(3, 8, cap=100))
+        count_complete_bruteforce(length + 1, 1)
+    monkeypatch.setattr(words, "ENUMERATION_CAP", 100)
+    assert len(list(enumerate_words(2, 3))) == 90
     with pytest.raises(SpaceTooLarge):
-        count_complete_bruteforce(3, 8, cap=100)
+        count_complete_bruteforce(1, 5)  # 120 words, counted before refused
 
 
 def test_identity_word_is_only_complete_permutation():
@@ -228,9 +241,9 @@ def test_enumeration_cap_fires_before_numpy_is_touched(monkeypatch):
     # shows that nothing is allocated before the cap is checked
     monkeypatch.setitem(sys.modules, "numpy", _NoNumpy("numpy"))
     with pytest.raises(SpaceTooLarge):
-        next(enumerate_words(3, 8, cap=100))
+        next(enumerate_words(3, 8))
     with pytest.raises(SpaceTooLarge):
-        count_complete_bruteforce(3, 8, cap=100)
+        count_complete_bruteforce(3, 8)
 
 
 def test_one_letter_alphabet_needs_no_recursion():
@@ -246,6 +259,7 @@ def test_letters_use_the_narrowest_unsigned_type(monkeypatch):
     # one-row blocks: the first is the sorted word, 1499 letters deep, past
     # the interpreter's default recursion limit
     monkeypatch.setattr(words, "_BLOCK_ROWS", 1)
+    monkeypatch.setattr(words, "ENUMERATION_CAP", math.factorial(1500))
     block = next(_word_blocks(1, 1500))
     assert block.dtype == np.uint16
     assert block.tolist() == [list(range(1, 1501))]
