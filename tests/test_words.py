@@ -137,6 +137,11 @@ def test_enumeration_cap(monkeypatch):
     assert len(list(enumerate_words(2, 3))) == 90
     with pytest.raises(SpaceTooLarge):
         count_complete_bruteforce(1, 5)  # 120 words, counted before refused
+    # from m(n-1) = 7, the cap's bit length, the space is refused without counting it
+    monkeypatch.setattr(words, "multiset_count", None)
+    for m, n in ((1, 8), (7, 2)):
+        with pytest.raises(SpaceTooLarge):
+            count_complete_bruteforce(m, n)
 
 
 def test_identity_word_is_only_complete_permutation():
