@@ -3,18 +3,18 @@
     PYTHONPATH=src python scripts/mc_stages.py --m 2 --n 100000 --trials 12
 
 Trials run in blocks as in montecarlo._collect.  Per block it times
-re-keying the Philox stream for each trial (rng.substreams), shuffling
-each trial's copy of the labels 0..mn-1 (montecarlo._base), the
-occurrence tensor (_occ_tensor: one scatter of the block's labels, then
-each value's positions put in order) and a kernel on it (l_max unless
---kernel says otherwise), and it reports the median over blocks of each
-stage's time divided by the block's trials (ms_per_trial).  --kernel lis
-runs the lockstep patience sort (_lis_from_block) on the labels, in
-estimate_lis' larger blocks, and builds no occurrence tensor: its occ
-stage reads 0.  It counts the process's minor page faults (getrusage
-ru_minflt) the same way (faults_per_trial): a fault is a fresh page of
-memory, and at n = 10^5 each costs about as much as touching the page's
-data once more.
+building the block's Philox generator (rng.substream, reported as
+rekey), shuffling the block's rows of the labels 0..mn-1 (montecarlo._base)
+with one Generator.permuted call (shuffle), the occurrence tensor
+(_occ_tensor: one scatter of the block's labels, then each value's
+positions put in order) and a kernel on it (l_max unless --kernel says
+otherwise), and it reports the median over blocks of each stage's time
+divided by the block's trials (ms_per_trial).  --kernel lis runs the
+lockstep patience sort (_lis_from_block) on the labels, in estimate_lis'
+larger blocks, and builds no occurrence tensor: its occ stage reads 0.
+It counts the process's minor page faults (getrusage ru_minflt) the same
+way (faults_per_trial): a fault is a fresh page of memory, and at
+n = 10^5 each costs about as much as touching the page's data once more.
 """
 
 import argparse
@@ -24,10 +24,10 @@ import statistics
 import time
 
 import numpy as np
-import numpy.random  # noqa: F401  loaded here, or its import would count as the first re-key
+import numpy.random  # noqa: F401  loaded here, or its import would count as the first rekey
 
 from cis import cardgame, montecarlo
-from cis.rng import substreams
+from cis.rng import substream
 
 KERNELS = {"l1": montecarlo._l1_from_occ, "lmax": montecarlo._lmax_from_occ,
            "safe": cardgame._safe_score, "shifting": cardgame._shifting_score,
@@ -49,7 +49,6 @@ def main(argv=None) -> None:
     lis = args.kernel == "lis"
     letters = montecarlo._LIS_BLOCK_LETTERS if lis else montecarlo._BLOCK_LETTERS
     size = max(1, letters // len(base))
-    streams = substreams(args.seed, args.trials)
     stages = ("rekey", "shuffle", "occ", "kernel")
     per_trial = {stage: [] for stage in stages}
     faults_per_trial = {stage: [] for stage in stages}
@@ -58,15 +57,12 @@ def main(argv=None) -> None:
         spent = dict.fromkeys(stages, 0.0)
         faults = dict.fromkeys(stages, 0)
         block = np.tile(base, (count, 1))
-        for t in range(count):
-            f0, t0 = _faults(), time.perf_counter()
-            gen = next(streams)
-            t1, f1 = time.perf_counter(), _faults()
-            gen.shuffle(block[t])
-            spent["rekey"] += t1 - t0
-            spent["shuffle"] += time.perf_counter() - t1
-            faults["rekey"] += f1 - f0
-            faults["shuffle"] += _faults() - f1
+        f0, t0 = _faults(), time.perf_counter()
+        gen = substream(args.seed, start)
+        t1, f1 = time.perf_counter(), _faults()
+        gen.permuted(block, axis=1, out=block)
+        spent["rekey"], spent["shuffle"] = t1 - t0, time.perf_counter() - t1
+        faults["rekey"], faults["shuffle"] = f1 - f0, _faults() - f1
         f0, t0 = _faults(), time.perf_counter()
         if lis:
             t1, f1 = t0, f0

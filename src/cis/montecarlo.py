@@ -1,21 +1,26 @@
 """Seeded Monte Carlo estimators for run statistics of multiset words.
 
-Every estimator draws trial i from the Philox stream keyed by (seed, i),
-fills a preallocated value array in trial order, and reduces it with
-fixed-shape numpy operations, so a seed fixes every statistic bitwise.
+Trials run in blocks of about _BLOCK_LETTERS letters (estimate_lis:
+_LIS_BLOCK_LETTERS) and at least one trial.  The block that starts at
+trial i draws from the Philox stream keyed by (seed, i): one generator
+shuffles every row of a (T, len) copy of each base, base after base, with
+one Generator.permuted call per base, which draws exactly what
+gen.permutation(base) T times in turn would.  So the trials of a block are
+the consecutive shuffles of its stream, and a block of one trial is the
+word the stream (seed, i) alone gives.  The words, and so every seeded
+output, depend on the block sizes: changing _BLOCK_LETTERS or
+_LIS_BLOCK_LETTERS changes them, and needs a __version__ bump.  Each
+estimator fills a preallocated value array in trial order and reduces it
+with fixed-shape numpy operations, so a seed fixes every statistic
+bitwise.
 
-Trials run in blocks.  One generator is re-keyed to (seed, i) for each
-trial (rng.substreams) and shuffles a copy of each base into row i of a
-(T, len) block, drawing exactly what gen.permutation(base) would.  The
-base of a word of S_{m,n} is the labels 0..mn-1 (_base), label s standing
-for letter s // m + 1 (_letters): the shuffle draws the same whatever the
-array holds, so this is the word a shuffle of 1^m 2^m ... n^m gives.
-Labels are np.intp, the one item size Generator.shuffle has a fast path
-for; the occurrence tensor built from them is int32 (mn <= 10^8).
-Blocks hold about _BLOCK_LETTERS letters (estimate_lis:
-_LIS_BLOCK_LETTERS) and at least one trial.  _base makes every
-estimator's (m, n) check (words._check_mn) and refuses words longer
-than _MAX_LETTERS before allocating anything.
+The base of a word of S_{m,n} is the labels 0..mn-1 (_base), label s
+standing for letter s // m + 1 (_letters): the shuffle draws the same
+whatever the array holds, so this is the word a shuffle of 1^m 2^m ... n^m
+gives.  Labels are np.intp, the one item size the shuffle has a fast path
+for; the occurrence tensor built from them is int32 (mn <= 10^8).  _base
+makes every estimator's (m, n) check (words._check_mn) and refuses words
+longer than _MAX_LETTERS before allocating anything.
 
 The kernels avoid per-trial Python loops.  A block of words is summarized
 by its occurrence tensor occ of shape (T, n, m): occ[t, v-1] lists the
@@ -61,11 +66,14 @@ import numpy as np
 
 from .errors import DomainError, SpaceTooLarge
 from .exact import complete_prob
-from .rng import substreams
+from .rng import substream
 from .words import _check_mn
 
-_BLOCK_LETTERS = 1 << 14  # letters sampled per block (at least one trial)
-_LIS_BLOCK_LETTERS = 1 << 19  # the same for estimate_lis, whose kernel loops per column
+# Letters sampled per block (at least one trial), and the same for
+# estimate_lis, whose kernel loops per column.  A block's trials share one
+# stream, so changing either changes seeded outputs: bump __version__.
+_BLOCK_LETTERS = 1 << 14
+_LIS_BLOCK_LETTERS = 1 << 19
 _RANK_COLUMNS = 4  # widest rows that _rank sums column by column
 _MAX_LETTERS = 10**8  # longest word a trial may sample
 # comparators (i, j) that put columns i < j of rows of m entries in order;
@@ -79,7 +87,7 @@ def _base(m: int, n: int) -> np.ndarray:
 
     Label s stands for letter s // m + 1 (_letters).  The shuffle draws
     the same whatever the array holds, so the word is the one a shuffle of
-    1^m 2^m ... n^m gives.  The labels are np.intp: Generator.shuffle
+    1^m 2^m ... n^m gives.  The labels are np.intp: Generator.permuted
     copies items of that size on a specialized path and narrower ones
     through a general memcpy, and intp labels, offset by their row, index
     _occ_tensor's one block-wide scatter without a cast.  SpaceTooLarge
@@ -105,23 +113,22 @@ def _collect(trials: int, seed: int, bases: list[np.ndarray], kernel: Callable,
              block_letters: int | None = None) -> np.ndarray:
     """Fill a (trials, width) array block by block.
 
-    Trial i shuffles a copy of each base, in order, with the stream keyed
-    by (seed, i).  kernel(*blocks) maps the (T, len(base)) blocks of
-    shuffled bases to the T trials' values, shape (T,) or (T, width); the
-    first block's values fix the width.  A block holds about block_letters
-    letters (_BLOCK_LETTERS by default) and at least one trial.
+    A block holds about block_letters letters (_BLOCK_LETTERS by default)
+    and at least one trial.  The block of T trials from trial `start` on
+    takes the stream keyed by (seed, start) and shuffles the rows of a
+    (T, len(base)) copy of each base, base after base, drawing what T
+    calls of gen.permutation(base) in turn would.  kernel(*blocks) maps the shuffled blocks to the T trials' values,
+    shape (T,) or (T, width); the first block's values fix the width.
     """
     _check_trials(trials)
     values = None
     size = max(1, (block_letters or _BLOCK_LETTERS) // sum(len(b) for b in bases))
-    streams = substreams(seed, trials)
     for start in range(0, trials, size):
         count = min(size, trials - start)
+        gen = substream(seed, start)
         blocks = [np.tile(b, (count, 1)) for b in bases]
-        for t in range(count):
-            gen = next(streams)
-            for block in blocks:
-                gen.shuffle(block[t])
+        for block in blocks:
+            gen.permuted(block, axis=1, out=block)
         block_values = np.reshape(kernel(*blocks), (count, -1))
         if values is None:
             values = np.empty((trials, block_values.shape[1]), dtype=np.float64)
@@ -157,12 +164,18 @@ def _occ_tensor(block: np.ndarray, m: int, n: int) -> np.ndarray:
 
     The inverse permutation of each row's labels, scattered for the whole
     block at once: row t's label s goes to flat slot t*mn + s, which is
-    occ[t, s // m, s % m].  Each row's m positions are then put in order,
-    by a sorting network up to m = 4 and by numpy's sort past that.
+    occ[t, s // m, s % m].  A block of one row is scattered by its labels
+    alone, without the int64 index of offset labels.  Each row's m
+    positions are then put in order, by a sorting network up to m = 4 and
+    by numpy's sort past that.
     """
     trials, length = block.shape
     occ = np.empty(trials * length, dtype=np.int32)
-    occ[block + np.arange(0, occ.size, length)[:, None]] = np.arange(length, dtype=np.int32)
+    positions = np.arange(length, dtype=np.int32)
+    if trials == 1:  # no row offsets to add
+        occ[block[0]] = positions
+    else:
+        occ[block + np.arange(0, occ.size, length)[:, None]] = positions
     occ = occ.reshape(trials, n, m)
     if m in _SORT_NETWORKS:
         low = np.empty(occ.shape[:2], dtype=occ.dtype)
@@ -477,8 +490,8 @@ class Obs2Report:
     m*n distinct labeled cards and projects label s to value s // m + 1,
     through _base and _occ_tensor as every estimator does.  Both must
     agree: the projection is uniform.  The two routes share only the
-    shuffle loop and the walk, so a fault in _base or _occ_tensor shows
-    as a gap.
+    sampling in _collect and the walk, so a fault in _base or _occ_tensor
+    shows as a gap.
     """
 
     m: int

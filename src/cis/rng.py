@@ -2,20 +2,16 @@
 
 All randomness in the package flows through RandomSource: a (seed, stream)
 pair mapped onto a counter-based Philox generator.  The map is the fixed
-splitting function used everywhere, so trial j of any estimator draws from
-the generator keyed by (seed, j), whatever the order the trials run in.
-Two sources with different stream indices are independent for practical
-purposes; the same pair always reproduces the same draws.
-
-substream(seed, j) builds that generator afresh; substreams(seed, count)
-gives the same streams for j = 0..count-1 from one generator that is
-re-keyed in place between trials, which costs about a tenth as much.
+splitting function used everywhere: the Monte Carlo block that starts at
+trial j draws from the generator keyed by (seed, j).  Two sources with
+different stream indices are independent for practical purposes; the same
+pair always reproduces the same draws.  substream(seed, j) builds that
+generator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -50,35 +46,8 @@ class RandomSource:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for trial `index` under master `seed`.
+    """Generator for stream `index` under master `seed`.
 
-    Equivalent to RandomSource(seed, index).generator(); the per-call
-    reference that substreams() reproduces.
+    Equivalent to RandomSource(seed, index).generator().
     """
     return RandomSource(seed, index).generator()
-
-
-def substreams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Generators for trials 0..count-1 under master `seed`, in order.
-
-    Yields one Generator, re-keyed before each yield: its Philox state is
-    set to key (seed, i), a zero counter and an empty buffer, which is the
-    state that substream(seed, i) starts in, so the draws are the same.
-    Finish drawing for trial i before asking for trial i+1.
-    """
-    RandomSource(seed)  # validates the seed
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    key = [seed, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for i in range(count):
-        key[1] = i
-        bitgen.state = state
-        yield gen

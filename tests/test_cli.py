@@ -373,15 +373,29 @@ def test_digit_limit_is_read_not_changed(run_cli, monkeypatch, tmp_path):
     assert sys.get_int_max_str_digits() == before
 
 
-@pytest.mark.parametrize("argv, value", [
-    (("prob-complete", "--m", "1000", "--n", "1", "--engine", "hk"), "1"),
-    (("bounds", "block-lower", "--m", "1500", "--n", "2", "--k", "1"), 1.0),
-    (("mc", "obs1", "--m", "1500", "--n", "2", "--k", "1", "--trials", "10", "--seed", "1"), [1.0, 1.0]),
-], ids=["prob-complete", "bounds-block-lower", "mc-obs1"])
-def test_hk_answers_with_a_thousand_parts(run_cli, argv, value):
+@pytest.mark.parametrize("argv, engine, value", [
+    (("prob-complete", "--m", "1000", "--n", "1", "--engine", "hk"), "hk", "1"),
+    # complete_prob's default engine is gf, here of degree 1499
+    (("bounds", "block-lower", "--m", "1500", "--n", "2", "--k", "1"), "gf", 1.0),
+    (("mc", "obs1", "--m", "1500", "--n", "2", "--k", "1", "--trials", "10", "--seed", "1"),
+     "gf", [1.0, 1.0]),
+], ids=["prob-complete-hk", "bounds-block-lower-gf", "mc-obs1-gf"])
+def test_a_thousand_parts_answer_on_the_engine_each_command_reaches(
+        run_cli, monkeypatch, argv, engine, value):
+    reached = []
+
+    def spy(name, real):
+        def call(m, n):
+            reached.append(name)
+            return real(m, n)
+        return call
+
+    monkeypatch.setattr(exact, "horton_kurn_h", spy("hk", exact.horton_kurn_h))
+    monkeypatch.setattr(exact, "p_value", spy("gf", exact.p_value))
     code, out = run_cli(*argv)
     assert code == 0
     assert json.loads(out)["value"] == value
+    assert reached == [engine]
 
 
 def test_cardgame_strategy_choices_are_the_card_game_strategies():

@@ -119,6 +119,7 @@ _DROPPED = {
     "exact": ("phi_apply", "phi_inverse", "q_poly"),
     "spectral": ("PartitionReport", "root_partition_diagnostic", "truncated_exp", "zemyan_targets"),
     "bounds": ("hamming",),
+    "rng": ("substreams",),
 }
 _SUBMODULES = ("acceptance", "bounds", "cache", "cardgame", "cli", "errors", "exact", "montecarlo",
                "rng", "spectral", "words")

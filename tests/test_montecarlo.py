@@ -40,7 +40,7 @@ from cis.montecarlo import (
     _rank,
     _walk,
 )
-from cis.rng import RandomSource, substream, substreams
+from cis.rng import RandomSource, substream
 
 
 def _lis_reference(letters):
@@ -60,17 +60,34 @@ def _contains_reference(letters, pattern):
     return all(any(x == p for x in it) for p in pattern)
 
 
-@pytest.mark.parametrize("seed", [20260822, 2**63, 2**63 + 1, 2**63 + 12345, 2**64 - 1])
-def test_substreams_match_substream(seed):
-    for i, gen in enumerate(substreams(seed, 4)):
-        ref = substream(seed, i)
-        assert gen.permutation(50).tolist() == ref.permutation(50).tolist()
-        assert gen.random() == ref.random()
-        # an odd number of 32-bit draws leaves half a word buffered, which
-        # the next trial must not see
-        draws = [g.integers(0, 2**32, size=3, dtype=np.uint32).tolist() for g in (gen, ref)]
-        assert draws[0] == draws[1]
-    assert i == 3
+def _block_rows(trials, seed, per_block, bases):
+    # the sampling contract, one gen.permutation per row: the block from
+    # trial `start` on draws from the stream keyed by (seed, start), all of
+    # one base's rows before the next base's.  One list of rows per base
+    rows = [[] for _ in bases]
+    for start in range(0, trials, per_block):
+        gen = substream(seed, start)
+        count = min(per_block, trials - start)
+        for out, base in zip(rows, bases):
+            out.extend(gen.permutation(base).tolist() for _ in range(count))
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 7, 64])
+def test_a_collected_block_is_the_consecutive_shuffles_of_its_stream(count, monkeypatch):
+    # two blocks of `count` trials and a short third one, over two bases:
+    # the kernel sees each block's rows of both bases side by side
+    bases = [_base(2, 5), _base(3, 2)]
+    monkeypatch.setattr(montecarlo, "_BLOCK_LETTERS", count * 16)
+    trials, seed = 2 * count + 1, 2**64 - 1
+    got = _collect(trials, seed, bases, lambda a, b: np.hstack([a, b]))
+    first, second = _block_rows(trials, seed, count, bases)
+    assert got.tolist() == [a + b for a, b in zip(first, second)]
+    if count == 1:
+        # a one-trial block is the word of its trial's own stream
+        for i in range(trials):
+            gen = substream(seed, i)
+            assert got[i].tolist() == [*gen.permutation(bases[0]), *gen.permutation(bases[1])]
 
 
 @pytest.mark.filterwarnings("error")
@@ -108,20 +125,23 @@ def test_walk_through_a_repeated_row_takes_its_copies_in_order(m, n):
 
 @pytest.mark.parametrize("m,n", [(1, 6), (2, 5), (3, 4), (4, 2), (2, 1), (1, 1)])
 def test_kernels_match_word_level_references(m, n, monkeypatch):
-    # 61 trials: one trial per block, 7 per block (a short last block), one block
-    # the words come from shuffling the sorted word, the kernels' from the labels
+    # 61 trials: one trial per block, 7 per block (a short last block), one
+    # block; each block size samples its own words.  The reference words
+    # come from shuffling the sorted word, the kernels' from the labels
     trials, seed = 61, 123456 + 17 * m + n
     sorted_word = np.repeat(np.arange(1, n + 1), m)
-    words = [make_word(substream(seed, i).permutation(sorted_word).tolist(), m, n)
-             for i in range(trials)]
     patterns = [p for p in [(1,), (1, 2), (2, 3), (1, n), (n,)]
                 if len(set(p)) == len(p) and max(p) <= n]
-    want = [
-        [*w.letters, l1(w), l_max(w), play(w, "safe").score, play(w, "shifting").score,
-         _lis_reference(w.letters), *(l_start(w, i) for i in range(1, n + 1)),
-         *(_contains_reference(w.letters, p) for p in patterns)]
-        for w in words
-    ]
+
+    def reference(per_block):
+        (rows,) = _block_rows(trials, seed, per_block, [sorted_word])
+        words = [make_word(row, m, n) for row in rows]
+        return [
+            [*w.letters, l1(w), l_max(w), play(w, "safe").score, play(w, "shifting").score,
+             _lis_reference(w.letters), *(l_start(w, i) for i in range(1, n + 1)),
+             *(_contains_reference(w.letters, p) for p in patterns)]
+            for w in words
+        ]
 
     def kernel(labels):
         letters = _letters(labels, m)
@@ -136,7 +156,7 @@ def test_kernels_match_word_level_references(m, n, monkeypatch):
     for per_block in (1, 7, trials):
         monkeypatch.setattr(montecarlo, "_BLOCK_LETTERS", per_block * m * n)
         got = _collect(trials, seed, [_base(m, n)], kernel)
-        assert got.tolist() == want
+        assert got.tolist() == reference(per_block), per_block
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -154,20 +174,28 @@ def test_occ_tensor_of_32_bit_letters_matches_one_stable_argsort(m, n):
     occ = _occ_tensor(block, m, n)
     assert occ.dtype == np.int32
     assert np.array_equal(occ, want)
+    # a block of one word is scattered without row offsets
+    one = _occ_tensor(block[:1], m, n)
+    assert one.dtype == np.int32
+    assert np.array_equal(one, want[:1])
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_shuffled_labels_give_the_word_the_sorted_word_shuffles_into(m):
     # the shuffle draws the same whatever the array holds, so a trial that
     # shuffles the labels 0..mn-1 samples the same word, label s for s // m + 1,
-    # as a shuffle of 1^m 2^m ... n^m on the same stream
+    # as a shuffle of 1^m 2^m ... n^m on the same stream.  Long words come
+    # one to a block, each on its trial's stream; short ones share a block
     trials, seed = 3, 41
     for n in (70_000, 50):
         labels = _base(m, n)
         assert labels.dtype == np.intp and labels.tolist() == list(range(m * n))
         word = np.repeat(np.arange(1, n + 1), m)
         got = _collect(trials, seed, [labels], lambda block: _letters(block, m))
-        want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
+        if n == 70_000:
+            want = [substream(seed, i).permutation(word).tolist() for i in range(trials)]
+        else:
+            (want,) = _block_rows(trials, seed, montecarlo._BLOCK_LETTERS // (m * n), [word])
         assert got.tolist() == want
 
 
@@ -295,7 +323,7 @@ def test_estimate_l1_hits_exact_expectation():
 
 
 def test_estimate_lmax_dominates_l1_at_same_seed():
-    # identical substreams sample identical words, so the means are ordered
+    # the same seed and block size sample identical words, so the means are ordered
     l1_est = estimate_l1(2, 30, 3000, seed=5150)
     lmax_est = estimate_lmax(2, 30, 3000, seed=5150)
     assert lmax_est.mean >= l1_est.mean
@@ -332,15 +360,14 @@ def test_lis_kernel_grows_its_tails_past_64(m):
 
 
 def test_estimate_lis_is_the_same_at_every_block_size(monkeypatch):
+    # each block size samples its own words; the estimate is their LIS
     m, n, trials, seed = 2, 30, 20, 64
-    want = [_lis_reference((substream(seed, i).permutation(_base(m, n)) // m).tolist())
-            for i in range(trials)]
-    estimates = []
     for per_block in (1, 7, trials):
+        (rows,) = _block_rows(trials, seed, per_block, [_base(m, n)])
+        want = [_lis_reference([s // m for s in row]) for row in rows]
         monkeypatch.setattr(montecarlo, "_LIS_BLOCK_LETTERS", per_block * m * n)
-        estimates.append(estimate_lis(m, n, trials, seed))
-    assert estimates[0] == estimates[1] == estimates[2]
-    assert estimates[0] == Estimate.from_values(np.array(want, dtype=np.float64)[:, None], seed)
+        assert estimate_lis(m, n, trials, seed) == Estimate.from_values(
+            np.array(want, dtype=np.float64)[:, None], seed), per_block
 
 
 def test_estimate_lis_memory_stays_within_a_few_blocks():
@@ -366,31 +393,31 @@ def test_seeded_outputs_are_pinned():
     def pair(est):
         return (est.mean, est.std_error)
 
-    assert pair(estimate_l1(2, 8, 300, seed=7)) == (2.6733333333333333, 0.07238466139146191)
-    assert pair(estimate_l1(3, 3, 300, seed=7)) == (2.7533333333333334, 0.029816732425196977)
-    assert pair(estimate_lmax(2, 8, 300, seed=7)) == (4.096666666666667, 0.0593721016230132)
+    assert pair(estimate_l1(2, 8, 300, seed=7)) == (2.54, 0.06797927417113167)
+    assert pair(estimate_l1(3, 3, 300, seed=7)) == (2.716666666666667, 0.033541712107962036)
+    assert pair(estimate_lmax(2, 8, 300, seed=7)) == (4.06, 0.05029677809052609)
     rep = moments(2, 8, r_max=3, trials=300, seed=7)
-    assert pair(rep.mu) == (2.6733333333333333, 0.07238466139146191)
-    assert pair(rep.central[2]) == (1.5666222222222221, 0.1553742000851745)
-    assert pair(rep.central[3]) == (1.6634820740740737, 0.6273843283158445)
-    assert pair(rep.raw[3]) == (33.333333333333336, 3.00245285579056)
+    assert pair(rep.mu) == (2.54, 0.06797927417113167)
+    assert pair(rep.central[2]) == (1.3817333333333335, 0.11089056717891063)
+    assert pair(rep.central[3]) == (1.1041279999999998, 0.342168997305847)
+    assert pair(rep.raw[3]) == (28.02, 2.1972260813625537)
     obs1 = check_observation1(2, 6, 3, trials=300, seed=7)
     assert (obs1.freq_tail, obs1.freq_complete, obs1.pooled_se, obs1.gap_in_se) == (
-        0.5666666666666667, 0.5, 0.04064298035149307, 1.640299655441424)
+        0.48333333333333334, 0.5433333333333333, 0.04073673380968928, 1.4728721325647598)
     obs2 = check_observation2(2, 4, (2, 4), trials=300, seed=7)
     assert (obs2.freq_multiset, obs2.freq_labeled, obs2.pooled_se, obs2.gap_in_se) == (
-        0.8533333333333334, 0.8, 0.03083048034848822, 1.7298897951146763)
+        0.8333333333333334, 0.8033333333333333, 0.031457790650212425, 0.9536588355354653)
     assert pair(expected_score(2, 8, "safe", 300, seed=7)) == (
-        2.7533333333333334, 0.05780707029801792)
-    assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.46, 0.06530265700768306)
-    # long words, one to a block
+        2.723333333333333, 0.0530072949552132)
+    assert pair(expected_score(3, 3, "shifting", 300, seed=7)) == (3.41, 0.06748962511621885)
+    # many trials to a block: the two LIS words of n = 70000 share one block
+    assert pair(estimate_lis(1, 70000, 2, seed=3)) == (521.0, 1.0)
+    assert pair(estimate_lis(2, 300, 50, seed=7)) == (43.74, 0.289700760461972)
+    # long words, one to a block: each is the word of its trial's own stream
     assert pair(estimate_lmax(2, 70000, 3, seed=1)) == (10.333333333333334, 0.3333333333333333)
     assert pair(estimate_lmax(1, 70000, 6, seed=3)) == (8.166666666666666, 0.16666666666666669)
     assert pair(estimate_lmax(3, 70000, 4, seed=3)) == (12.75, 0.47871355387816905)
     assert pair(estimate_l1(2, 70000, 12, seed=3)) == (2.3333333333333335, 0.4143877070053741)
-    assert pair(estimate_lis(1, 70000, 2, seed=3)) == (517.5, 2.5)
-    # many trials to a block
-    assert pair(estimate_lis(2, 300, 50, seed=7)) == (43.5, 0.280305955290694)
     assert pair(expected_score(2, 70000, "safe", 12, seed=3)) == (2.5, 0.2886751345948129)
     assert pair(expected_score(2, 70000, "shifting", 12, seed=3)) == (
         2.3333333333333335, 0.4143877070053741)
